@@ -1,63 +1,12 @@
-"""Learning structurally recursive rewrite definitions from i/o equations."""
+"""Learning structurally recursive rewrite definitions from i/o equations.
 
-from .antiunify import (
-    INF,
-    CandidateRule,
-    GenStore,
-    generalize_examples,
-    left_linear,
-    lgg,
-    lgg_classic,
-    variable_condition,
-)
-from .dsl import ParseError, Problem, parse_problem, parse_term, render_problem
-from .learner import (
-    FreshNames,
-    InduceConfig,
-    InduceReport,
-    SchemeEquation,
-    build_scheme,
-    derive_aux_examples,
-    detect_repetition,
-    induce,
-    split_by_constructor,
-)
-from .rewrite import (
-    EvalError,
-    RewriteSystem,
-    Rule,
-    RuleError,
-    StepLimitExceeded,
-    StuckTerm,
-    covers,
-    covers_all,
-    evaluate,
-    evaluate_steps,
-)
-from .simplify import inline_single_rule_aux, prune_irrelevant_args
-from .terms import (
-    App,
-    ArityMismatch,
-    ConstructorAlt,
-    IOEquation,
-    Signature,
-    SortConflict,
-    SortEnv,
-    SortMismatch,
-    Term,
-    TermError,
-    UnknownSymbol,
-    Var,
-    check_wellsorted,
-    classify_args,
-    infer_variable_sorts,
-    is_ground,
-    match_pattern,
-    render_term,
-    renaming_match,
-    substitute,
-    subterms,
-    term_vars,
-)
+The package root exports the library entry points; everything else is
+imported from its module (`terms`, `antiunify`, `rewrite`, `learner`,
+`simplify`, `dsl`, `cli`).
+"""
+
+from .dsl import ParseError, parse_problem
+from .learner import InduceConfig, induce
+from .simplify import prune_irrelevant_args
 
 __version__ = "0.1.0"

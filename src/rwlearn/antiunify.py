@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .terms import App, IOEquation, Term, Var, term_vars
+from .rewrite import Rule, rule_defect
+from .terms import App, Term, Var
 
 INF = math.inf
 
@@ -34,10 +34,6 @@ class GenStore:
             self.entries[ts] = name
         return Var(name)
 
-    def witness(self, i: int) -> dict:
-        """Substitution mapping each store variable back to the i-th input term."""
-        return {name: ts[i] for ts, name in self.entries.items()}
-
 
 def _heads_agree(ts: tuple) -> bool:
     t0 = ts[0]
@@ -47,19 +43,6 @@ def _heads_agree(ts: tuple) -> bool:
         isinstance(t, App) and t.head == t0.head and len(t.args) == len(t0.args)
         for t in ts
     )
-
-
-def lgg_classic(ts, store: GenStore) -> Term:
-    """Plotkin's least general generalization (no depth bound)."""
-    ts = tuple(ts)
-    if not ts:
-        raise ValueError("lgg of an empty tuple")
-    if not _heads_agree(ts):
-        return store.var_for(ts)
-    t0 = ts[0]
-    if isinstance(t0, Var):
-        return t0
-    return App(t0.head, tuple(lgg_classic(args, store) for args in zip(*(t.args for t in ts))))
 
 
 def lgg(ts, store: GenStore, depth=INF, _level: int = 1) -> Term:
@@ -83,34 +66,14 @@ def lgg(ts, store: GenStore, depth=INF, _level: int = 1) -> Term:
     )
 
 
-@dataclass(frozen=True)
-class CandidateRule:
-    lhs: App
-    rhs: Term
-
-
-def variable_condition(rule: CandidateRule) -> bool:
-    """True iff every rhs variable occurs in some lhs argument."""
-    lhs_vars = set()
-    for a in rule.lhs.args:
-        lhs_vars.update(term_vars(a))
-    return set(term_vars(rule.rhs)) <= lhs_vars
-
-
-def left_linear(rule: CandidateRule) -> bool:
-    seen: list[str] = []
-    for a in rule.lhs.args:
-        seen.extend(term_vars(a))
-    return len(seen) == len(set(seen))
-
-
-def generalize_examples(fn: str, examples, depth=INF, fresh=None) -> CandidateRule | None:
-    """Anti-unify the i/o equations of fn into a single candidate rule.
+def generalize_examples(fn: str, examples, depth=INF, fresh=None) -> Rule | None:
+    """Anti-unify the i/o equations of fn into a single rule.
 
     Left-hand argument tuples and right-hand sides share one GenStore, so
     lhs/rhs correlations are preserved.  Arguments sit below the function
     symbol and are generalized from depth 2; the rhs from depth 1.  Returns
-    None when the variable condition fails.
+    None when the anti-unifier is not an admissible rule for fn (see
+    `rule_defect`): its lhs is not left-linear or a rhs variable is unbound.
     """
     examples = list(examples)
     if not examples:
@@ -124,5 +87,5 @@ def generalize_examples(fn: str, examples, depth=INF, fresh=None) -> CandidateRu
         for i in range(arity)
     )
     rhs = lgg(tuple(ex.rhs for ex in examples), store, depth, _level=1)
-    rule = CandidateRule(App(fn, lhs_args), rhs)
-    return rule if variable_condition(rule) else None
+    rule = Rule(App(fn, lhs_args), rhs)
+    return rule if rule_defect(rule, (fn,)) is None else None

@@ -185,22 +185,14 @@ def parse_problem(text: str) -> Problem:
         if env.is_constructor(sig.name):
             raise ParseError(f"{sig.name} is both a constructor and a function", 0, 0)
 
-    def resolve(raw, allow_fn_head=False) -> Term:
-        head, args = raw
-        if env.is_constructor(head) or head in sigs:
-            if head in sigs and not allow_fn_head:
-                raise ParseError(f"defined function {head} inside an i/o equation term", 0, 0)
-            return App(head, tuple(resolve(a) for a in args))
-        if args:
-            raise ParseError(f"undeclared symbol {head} used with arguments", 0, 0)
-        return Var(head)
-
     examples = []
     for lhs_raw, rhs_raw in raw_examples:
         head, args = lhs_raw
         if head != target:
             raise ParseError(f"example for {head}, but learn target is {target}", 0, 0)
-        examples.append(IOEquation(target, tuple(resolve(a) for a in args), resolve(rhs_raw)))
+        examples.append(IOEquation(target,
+                                   tuple(_resolve(a, env, sigs, allow_fns=False) for a in args),
+                                   _resolve(rhs_raw, env, sigs, allow_fns=False)))
     if not examples:
         raise ParseError("no examples given", 0, 0)
 
@@ -240,17 +232,20 @@ def parse_term(text: str, env: SortEnv, fn_names=()) -> Term:
     raw = p.term()
     if p.peek() is not None:
         p.error("trailing input after term")
-    fn_names = set(fn_names)
+    return _resolve(raw, env, set(fn_names), allow_fns=True)
 
-    def resolve(node) -> Term:
-        head, args = node
-        if env.is_constructor(head) or head in fn_names:
-            return App(head, tuple(resolve(a) for a in args))
-        if args:
-            raise ParseError(f"undeclared symbol {head} used with arguments", 0, 0)
-        return Var(head)
 
-    return resolve(raw)
+def _resolve(raw, env: SortEnv, fn_names, allow_fns: bool) -> Term:
+    """Classify the heads of a raw term: constructors and (when allowed) the
+    functions in fn_names head applications; other identifiers are variables."""
+    head, args = raw
+    if head in fn_names and not allow_fns:
+        raise ParseError(f"defined function {head} inside an i/o equation term", 0, 0)
+    if env.is_constructor(head) or head in fn_names:
+        return App(head, tuple(_resolve(a, env, fn_names, allow_fns) for a in args))
+    if args:
+        raise ParseError(f"undeclared symbol {head} used with arguments", 0, 0)
+    return Var(head)
 
 
 def render_problem(problem: Problem) -> str:

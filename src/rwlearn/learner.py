@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .antiunify import INF, CandidateRule, generalize_examples, left_linear
+from .antiunify import INF, generalize_examples
 from .rewrite import RewriteSystem, Rule, covers_all
 from .terms import (
     App,
@@ -312,19 +312,20 @@ def induce(target: str, examples, env: SortEnv, sigs, cfg: InduceConfig | None =
             reserved.update(term_vars(ex.rhs))
         fresh = FreshNames(reserved)
     ctx = _Ctx(env, cfg, fresh)
-    ok, rules, aux_sigs, reason = _induce(ctx, target, examples, sig_map, layer=0,
-                                          history=frozenset(), level=0)
+    ok, rules, aux_sigs, uncovered, reason = _induce(ctx, target, examples, sig_map, layer=0,
+                                                     history=frozenset(), level=0)
     if ok:
+        # the attempt that built these rules evaluated every example against
+        # them; this system only declares fewer rule-less signatures
+        assert uncovered == [], "internal error: success without coverage"
         system = RewriteSystem(rules, list(aux_sigs) + [sig_map[target]])
-        covered, uncovered = covers_all(system, examples, cfg.step_limit)
-        assert covered, "internal error: success without coverage"
         failure = None
     else:
         system = None
         if reason is None:
             reason = "underivable-aux-examples" if ctx.underivable else "uncovered-examples"
-        last_uncovered = ctx.attempts[-1].uncovered if ctx.attempts else list(examples)
-        failure = FailureInfo(reason, list(ctx.underivable), last_uncovered)
+        failure = FailureInfo(reason, list(ctx.underivable),
+                              list(examples) if uncovered is None else uncovered)
     return InduceReport(
         target=target,
         success=ok,
@@ -342,37 +343,37 @@ def _render_eqs(examples) -> str:
     return "[" + ",".join(ex.render() for ex in examples) + "]"
 
 
-def _adoptable(cand: CandidateRule | None) -> bool:
-    return cand is not None and left_linear(cand)
-
-
 def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history, level):
-    """Returns (ok, rules, aux signatures, failure reason or None)."""
+    """Returns (ok, rules, aux signatures, uncovered, failure reason or None).
+
+    uncovered lists the examples that the last assembled system left
+    uncovered: empty on success, None when no system was assembled.
+    """
     cfg = ctx.cfg
     ctx.emit(level, "induce", f"induce({fn})")
     if layer > cfg.max_recursion_depth:
         ctx.emit(level + 1, "cap", f"recursion depth cap {cfg.max_recursion_depth} exceeded")
         ctx.emit(level, "induce-end", f"induce({fn})")
-        return False, [], [], "cap-exceeded"
+        return False, [], [], None, "cap-exceeded"
     if detect_repetition(history, examples):
         ctx.emit(level + 1, "repetition", "repeated example set, aborting branch")
         ctx.emit(level, "induce-end", f"induce({fn})")
-        return False, [], [], "repetition"
+        return False, [], [], None, "repetition"
     history = history | {_canonical_example_set(examples)}
     sig = sig_map[fn]
 
     if cfg.try_whole_set_lgg_first:
-        cand = generalize_examples(fn, examples, cfg.depth, ctx.fresh.var)
-        if _adoptable(cand):
-            rule = Rule(cand.lhs, cand.rhs)
+        rule = generalize_examples(fn, examples, cfg.depth, ctx.fresh.var)
+        if rule is not None:
             candidate = RewriteSystem([rule], sig_map.values())
-            ok, _ = covers_all(candidate, examples, cfg.step_limit)
+            ok, uncovered = covers_all(candidate, examples, cfg.step_limit)
             if ok:
                 ctx.emit(level + 1, "anti-unifier", f"anti-unifier: {rule.render()}")
                 ctx.emit(level + 1, "covered", "all examples covered")
                 ctx.emit(level, "induce-end", f"induce({fn})")
-                return True, [rule], [], None
+                return True, [rule], [], uncovered, None
 
+    uncovered = None
     for position in range(sig.arity):
         ctx.emit(level + 1, "trying-position", f"trying argument position: {position + 1}")
         rules: list[Rule] = []
@@ -388,9 +389,8 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history, level):
                 ctx.emit(level + 2, "no-examples", "no examples")
                 ctx.emit(level + 1, "inducePos-end", label)
                 continue
-            cand = generalize_examples(fn, subset, cfg.depth, ctx.fresh.var)
-            if _adoptable(cand):
-                rule = Rule(cand.lhs, cand.rhs)
+            rule = generalize_examples(fn, subset, cfg.depth, ctx.fresh.var)
+            if rule is not None:
                 ctx.emit(level + 2, "anti-unifier", f"anti-unifier: {rule.render()}")
                 rules.append(rule)
                 ctx.emit(level + 1, "inducePos-end", label)
@@ -427,7 +427,7 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history, level):
                 break
             sub_sigs = dict(sig_map)
             sub_sigs[scheme.aux_name] = scheme.aux_sig
-            sub_ok, sub_rules, sub_aux, _ = _induce(
+            sub_ok, sub_rules, sub_aux, _, _ = _induce(
                 ctx, scheme.aux_name, [eq for eq, _ in derived], sub_sigs,
                 layer + 1, history, level + 2)
             if sub_ok:
@@ -446,7 +446,7 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history, level):
         if ok and not abandoned:
             ctx.emit(level + 1, "covered", "all examples covered")
             ctx.emit(level, "induce-end", f"induce({fn})")
-            return True, rules + aux_rules, aux_sigs, None
+            return True, rules + aux_rules, aux_sigs, uncovered, None
         ctx.emit(level + 1, "uncovered", f"uncovered examples: {_render_eqs(uncovered)}")
     ctx.emit(level, "induce-end", f"induce({fn})")
-    return False, [], [], None
+    return False, [], [], uncovered, None

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, IOEquation, Signature, Term, Var, match_pattern, render_term, substitute, term_vars
+from .terms import (App, IOEquation, Term, Var, match_pattern, render_term, substitute, subterms,
+                    term_vars)
 
 
 class EvalError(Exception):
@@ -41,12 +42,35 @@ class Rule:
         return f"{render_term(self.lhs)}={render_term(self.rhs)}"
 
 
+def rule_defect(rule: Rule, defined) -> str | None:
+    """Why rule cannot join a system that defines the names in `defined`, or None.
+
+    The lhs head must be defined, lhs arguments must be left-linear patterns
+    of constructors and variables, and every rhs variable must occur on the
+    lhs.
+    """
+    head = rule.lhs.head
+    if head not in defined:
+        return f"lhs head {head} has no signature"
+    seen: set[str] = set()
+    for a in rule.lhs.args:
+        for sub in subterms(a):
+            if isinstance(sub, Var):
+                if sub.name in seen:
+                    return f"non-left-linear lhs of {head}: variable {sub.name} repeats"
+                seen.add(sub.name)
+            elif sub.head in defined:
+                return f"defined symbol {sub.head} inside lhs pattern"
+    for v in term_vars(rule.rhs):
+        if v not in seen:
+            return f"unbound rhs variable {v} in a rule of {head}"
+    return None
+
+
 class RewriteSystem:
     """Immutable ordered rule list plus the signatures of all defined symbols.
 
-    Admission checks: the lhs head must be a declared function, lhs arguments
-    must be constructor/variable patterns that are left-linear, and every rhs
-    variable must occur on the lhs.
+    Every rule must pass `rule_defect` against the declared names.
     """
 
     def __init__(self, rules, signatures):
@@ -55,35 +79,16 @@ class RewriteSystem:
         self.rules = tuple(rules)
         self._by_head: dict[str, list[Rule]] = {}
         for rule in self.rules:
-            self._admit(rule)
+            defect = rule_defect(rule, self.sig_by_name)
+            if defect is not None:
+                raise RuleError(defect)
             self._by_head.setdefault(rule.lhs.head, []).append(rule)
-
-    def _admit(self, rule: Rule):
-        if rule.lhs.head not in self.sig_by_name:
-            raise RuleError(f"lhs head {rule.lhs.head} has no signature")
-        seen: list[str] = []
-        for a in rule.lhs.args:
-            for sub in _apps(a):
-                if sub.head in self.sig_by_name:
-                    raise RuleError(f"defined symbol {sub.head} inside lhs pattern")
-            seen.extend(term_vars(a))
-        if len(seen) != len(set(seen)):
-            raise RuleError(f"non-left-linear pattern in {rule.render()}")
-        if not set(term_vars(rule.rhs)) <= set(seen):
-            raise RuleError(f"unbound rhs variable in {rule.render()}")
 
     def is_defined(self, name: str) -> bool:
         return name in self.sig_by_name
 
     def rules_for(self, name: str):
         return self._by_head.get(name, ())
-
-
-def _apps(t: Term):
-    if isinstance(t, App):
-        yield t
-        for a in t.args:
-            yield from _apps(a)
 
 
 def _rewrite_innermost(sys: RewriteSystem, t: Term):

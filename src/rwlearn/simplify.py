@@ -9,7 +9,7 @@ user-facing target) are never changed in arity or removed.
 from __future__ import annotations
 
 from .rewrite import RewriteSystem, Rule
-from .terms import App, Signature, Term, Var, substitute, term_vars
+from .terms import App, Signature, Term, Var, substitute, subterms
 
 
 def prune_irrelevant_args(sys: RewriteSystem, keep=()) -> RewriteSystem:
@@ -94,12 +94,12 @@ def inline_single_rule_aux(sys: RewriteSystem, keep=()) -> RewriteSystem:
             if len(own) != 1:
                 continue
             pats = own[0].lhs.args
-            if sig.name in _heads(own[0].rhs):
-                continue
-            if all(isinstance(p, Var) for p in pats) and len({p.name for p in pats}) == len(pats):
-                if any(sig.name in _heads(r.rhs) for r in rules if r is not own[0]):
-                    target = (sig, own[0])
-                    break
+            callers = [r for r in rules
+                       if any(isinstance(u, App) and u.head == sig.name for u in subterms(r.rhs))]
+            if (callers and own[0] not in callers and all(isinstance(p, Var) for p in pats)
+                    and len({p.name for p in pats}) == len(pats)):
+                target = (sig, own[0])
+                break
         if target is None:
             break
         sig, rule = target
@@ -117,12 +117,3 @@ def inline_single_rule_aux(sys: RewriteSystem, keep=()) -> RewriteSystem:
         rules.remove(rule)
         signatures.remove(sig)
     return RewriteSystem(rules, signatures)
-
-
-def _heads(t: Term) -> set:
-    if isinstance(t, Var):
-        return set()
-    out = {t.head}
-    for a in t.args:
-        out |= _heads(a)
-    return out

@@ -80,14 +80,12 @@ def term_vars(t: Term) -> list[str]:
 
 def subterms(t: Term):
     """All subterms of t (including t itself), pre-order."""
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
-
-
-def is_ground(t: Term) -> bool:
-    return not term_vars(t)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, App):
+            stack.extend(reversed(u.args))
 
 
 def substitute(t: Term, subst: Substitution) -> Term:
@@ -146,11 +144,6 @@ def renaming_match(t1: Term, t2: Term) -> Substitution | None:
         return all(walk(x, y) for x, y in zip(a.args, b.args))
 
     return fwd if walk(t1, t2) else None
-
-
-def is_renaming(subst: Substitution) -> bool:
-    images = [v for v in subst.values()]
-    return all(isinstance(v, Var) for v in images) and len({v.name for v in images}) == len(images)
 
 
 def render_term(t: Term) -> str:

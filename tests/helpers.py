@@ -5,18 +5,17 @@ from __future__ import annotations
 import itertools
 import pathlib
 
-from rwlearn import (
+from rwlearn import InduceConfig, induce, parse_problem
+from rwlearn.terms import (
     App,
     ConstructorAlt,
-    InduceConfig,
     IOEquation,
     SortEnv,
     Var,
-    induce,
     match_pattern,
-    parse_problem,
-    subterms,
     renaming_match,
+    subterms,
+    term_vars,
 )
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -116,6 +115,36 @@ def common_generalizations(t1, t2) -> list:
 
 def is_common_generalization(g, t1, t2) -> bool:
     return match_pattern(g, t1) is not None and match_pattern(g, t2) is not None
+
+
+def lgg_classic(ts, store):
+    """Plotkin's least general generalization, written without a depth bound.
+
+    Oracle for `lgg(..., depth=INF)`: agreeing heads are kept, any other
+    tuple becomes the store's variable for that tuple.
+    """
+    ts = tuple(ts)
+    t0 = ts[0]
+    if isinstance(t0, Var):
+        return t0 if all(t == t0 for t in ts) else store.var_for(ts)
+    if not all(isinstance(t, App) and t.head == t0.head and len(t.args) == len(t0.args)
+               for t in ts):
+        return store.var_for(ts)
+    return App(t0.head, tuple(lgg_classic(args, store) for args in zip(*(t.args for t in ts))))
+
+
+def witness(store, i: int) -> dict:
+    """Substitution mapping each variable of a GenStore back to the i-th input term."""
+    return {name: ts[i] for ts, name in store.entries.items()}
+
+
+def is_ground(t) -> bool:
+    return not term_vars(t)
+
+
+def is_renaming(subst: dict) -> bool:
+    images = list(subst.values())
+    return all(isinstance(v, Var) for v in images) and len({v.name for v in images}) == len(images)
 
 
 def canonical_rules(rules, fixed_symbols) -> tuple:

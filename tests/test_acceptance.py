@@ -7,26 +7,20 @@ consistent renaming of fresh variables and auxiliary function symbols.
 
 import random
 
-from rwlearn import (
+from rwlearn import induce, prune_irrelevant_args
+from rwlearn.antiunify import INF, GenStore, lgg
+from rwlearn.rewrite import Rule, covers, covers_all
+from rwlearn.simplify import inline_single_rule_aux
+from rwlearn.terms import (
     App,
     ConstructorAlt,
-    INF,
-    GenStore,
     IOEquation,
     Signature,
     SortEnv,
     Var,
-    covers,
-    covers_all,
-    induce,
-    inline_single_rule_aux,
-    lgg,
-    lgg_classic,
     match_pattern,
-    prune_irrelevant_args,
     substitute,
 )
-from rwlearn.rewrite import Rule
 
 from helpers import (
     blist_add_examples,
@@ -34,6 +28,7 @@ from helpers import (
     common_generalizations,
     contained_up_to_renaming,
     is_common_generalization,
+    lgg_classic,
     list_env,
     nat_env,
     random_ground_subst,
@@ -41,6 +36,7 @@ from helpers import (
     renamed_subterm_pool,
     run_file,
     tree_env,
+    witness,
 )
 
 
@@ -235,7 +231,7 @@ def test_criterion_7_anti_unification_properties():
         store = GenStore()
         g = lgg(ts, store)
         for i, t in enumerate(ts):
-            witness_ok &= substitute(g, store.witness(i)) == t
+            witness_ok &= substitute(g, witness(store, i)) == t
 
     minimal_ok = True
     depth_ok = True

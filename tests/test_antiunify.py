@@ -4,28 +4,20 @@ import random
 
 from hypothesis import given, strategies as st
 
-from rwlearn import (
-    App,
-    GenStore,
-    INF,
-    IOEquation,
-    Var,
-    generalize_examples,
-    lgg,
-    lgg_classic,
-    match_pattern,
-    substitute,
-)
-from rwlearn.antiunify import CandidateRule, left_linear, variable_condition
+from rwlearn.antiunify import INF, GenStore, generalize_examples, lgg
+from rwlearn.rewrite import RewriteSystem, Rule, RuleError
+from rwlearn.terms import App, IOEquation, Signature, Var, match_pattern, substitute
 
 from helpers import (
     common_generalizations,
     is_common_generalization,
+    lgg_classic,
     list_env,
     lst,
     nat,
     nat_env,
     random_term,
+    witness,
 )
 
 
@@ -54,7 +46,7 @@ def test_gen_store_witness_reproduces_inputs():
     ts = (lst(nat(1)), lst(nat(2), nat(3)))
     g = lgg(ts, store)
     for i, t in enumerate(ts):
-        assert substitute(g, store.witness(i)) == t
+        assert substitute(g, witness(store, i)) == t
 
 
 def test_depth_bound_cuts_below_the_limit():
@@ -69,19 +61,12 @@ def test_depth_inf_equals_classic():
     assert lgg(ts, GenStore(), depth=INF) == lgg_classic(ts, GenStore())
 
 
-def test_variable_condition_and_left_linearity():
-    good = CandidateRule(App("f", (Var("x"),)), Var("x"))
-    assert variable_condition(good) and left_linear(good)
-    assert not variable_condition(CandidateRule(App("f", (Var("x"),)), Var("y")))
-    assert not left_linear(CandidateRule(App("f", (Var("x"), Var("x"))), Var("x")))
-
-
 def test_generalize_examples_shares_one_store_across_sides():
     # f(n) = n for several n: lhs and rhs disagreements are the same tuple,
     # so they must become the same variable and the rule stays executable
     examples = [IOEquation("f", (nat(n),), nat(n)) for n in (0, 1, 2)]
-    cand = generalize_examples("f", examples)
-    assert cand == CandidateRule(App("f", (Var("g0"),)), Var("g0"))
+    rule = generalize_examples("f", examples)
+    assert rule == Rule(App("f", (Var("g0"),)), Var("g0"))
 
 
 def test_generalize_examples_fails_variable_condition():
@@ -89,6 +74,15 @@ def test_generalize_examples_fails_variable_condition():
     # rhs variable has no lhs occurrence and no rule is produced
     examples = [IOEquation("dup", (nat(n),), nat(2 * n)) for n in range(4)]
     assert generalize_examples("dup", examples) is None
+
+
+def test_generalize_examples_rejects_non_left_linear_lgg():
+    # both arguments disagree by the same tuple (0, s(0)), so the shared
+    # store gives them one variable: f(g0,g0)=g0 binds its rhs variable but
+    # is not left-linear, and no rule is produced
+    examples = [IOEquation("f", (nat(0), nat(0)), nat(0)),
+                IOEquation("f", (nat(1), nat(1)), nat(1))]
+    assert generalize_examples("f", examples) is None
 
 
 def test_generalize_examples_respects_depth_on_both_sides():
@@ -126,7 +120,7 @@ def test_depth_bounded_lgg_instantiates_to_all_inputs(seed, depth):
     store = GenStore()
     g = lgg(ts, store, depth=depth)
     for i, t in enumerate(ts):
-        assert substitute(g, store.witness(i)) == t
+        assert substitute(g, witness(store, i)) == t
 
 
 @given(st.integers(0, 10**9), st.integers(1, 4), st.integers(0, 3))
@@ -138,3 +132,25 @@ def test_deeper_lgg_is_an_instance_of_shallower_lgg(seed, depth, extra):
     deep = lgg(ts, GenStore(), depth=depth + extra)
     # lowering the depth bound only generalizes further
     assert match_pattern(shallow, deep) is not None
+
+
+@given(st.integers(0, 10**9), st.sampled_from([1, 2, 3, INF]))
+def test_generalize_examples_returns_exactly_the_admissible_anti_unifiers(seed, depth):
+    rng = random.Random(seed)
+    env = nat_env()
+    pool = {"nat": ["p", "q"]}
+
+    def term():
+        return random_term(env, "nat", 3, rng, pool)
+
+    examples = [IOEquation("f", (term(), term()), term()) for _ in range(rng.randint(1, 4))]
+    store = GenStore()
+    lhs_args = tuple(lgg(col, store, depth, _level=2)
+                     for col in zip(*(ex.lhs_args for ex in examples)))
+    anti_unifier = Rule(App("f", lhs_args), lgg(tuple(ex.rhs for ex in examples), store, depth))
+    try:
+        RewriteSystem([anti_unifier], [Signature("f", ("nat", "nat"), "nat")])
+        admitted = anti_unifier
+    except RuleError:
+        admitted = None
+    assert generalize_examples("f", examples, depth) == admitted

@@ -2,8 +2,9 @@
 
 import pytest
 
-from rwlearn import App, ParseError, Var, parse_problem, parse_term
-from rwlearn.dsl import render_problem
+from rwlearn import ParseError, parse_problem
+from rwlearn.dsl import parse_term, render_problem
+from rwlearn.terms import App, Var
 
 from helpers import list_env, nat
 

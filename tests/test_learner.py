@@ -2,22 +2,18 @@
 
 import pytest
 
-from rwlearn import (
-    App,
+from rwlearn import InduceConfig, induce, learner
+from rwlearn.learner import (
     FreshNames,
-    InduceConfig,
-    IOEquation,
-    Signature,
-    Var,
+    _canonical_example_set,
+    _resolve_call,
     build_scheme,
-    covers,
-    covers_all,
     derive_aux_examples,
     detect_repetition,
-    induce,
     split_by_constructor,
 )
-from rwlearn.learner import _canonical_example_set, _resolve_call
+from rwlearn.rewrite import covers, covers_all
+from rwlearn.terms import App, Signature, Var
 
 from helpers import eq, list_env, load_problem, lst, nat, nat_env, run_file, tree_env
 
@@ -239,3 +235,17 @@ def test_learned_auxiliaries_cover_their_derived_examples():
         assert adopted
         for ex in adopted:
             assert covers(report.system, ex)
+
+
+def test_success_evaluates_coverage_once_per_attempt(monkeypatch):
+    # the final system is not evaluated again after the attempt that built it
+    calls = []
+
+    def counting_covers_all(*args):
+        calls.append(args)
+        return covers_all(*args)
+
+    monkeypatch.setattr(learner, "covers_all", counting_covers_all)
+    _, report = run_file("add.tl")
+    assert report.success
+    assert len(calls) == len(report.attempts)

@@ -2,21 +2,19 @@
 
 import pytest
 
-from rwlearn import (
-    App,
-    IOEquation,
+from rwlearn.rewrite import (
     RewriteSystem,
     Rule,
     RuleError,
-    Signature,
     StepLimitExceeded,
     StuckTerm,
-    Var,
     covers,
     covers_all,
     evaluate,
     evaluate_steps,
+    rule_defect,
 )
+from rwlearn.terms import App, Signature, Var
 
 from helpers import eq, lst, nat
 
@@ -118,6 +116,22 @@ def test_admission_rejects_unbound_rhs_variable():
             [Rule(App("f", (Var("x"),)), Var("y"))],
             [Signature("f", ("nat",), "nat")],
         )
+
+
+def test_rule_defect_accepts_an_admissible_rule():
+    x, y = Var("x"), Var("y")
+    rule = Rule(App("f", (App("s", (x,)), y)), App("f", (x, y)))
+    assert rule_defect(rule, {"f"}) is None
+
+
+def test_rule_defect_names_each_condition():
+    x = Var("x")
+    f = ("f",)
+    assert "no signature" in rule_defect(Rule(App("h", (x,)), x), f)
+    assert "defined symbol f" in rule_defect(Rule(App("f", (App("f", (x,)),)), x), f)
+    assert "non-left-linear" in rule_defect(Rule(App("f", (x, x)), x), f)
+    assert "non-left-linear" in rule_defect(Rule(App("f", (App("s", (x,)), x)), x), f)
+    assert "unbound rhs variable y" in rule_defect(Rule(App("f", (x,)), Var("y")), f)
 
 
 def test_covers_ground_examples():

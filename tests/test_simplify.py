@@ -1,16 +1,9 @@
 """Unit tests for irrelevant-argument pruning and auxiliary inlining."""
 
-from rwlearn import (
-    App,
-    RewriteSystem,
-    Rule,
-    Signature,
-    Var,
-    covers_all,
-    evaluate,
-    inline_single_rule_aux,
-    prune_irrelevant_args,
-)
+from rwlearn import prune_irrelevant_args
+from rwlearn.rewrite import RewriteSystem, Rule, covers_all, evaluate
+from rwlearn.simplify import inline_single_rule_aux
+from rwlearn.terms import App, Signature, Var
 
 from helpers import eq, nat, run_file
 

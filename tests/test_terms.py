@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rwlearn import (
+from rwlearn.terms import (
     App,
     ArityMismatch,
     ConstructorAlt,
+    InvalidSortEnv,
     IOEquation,
     Signature,
     SortConflict,
@@ -19,16 +20,15 @@ from rwlearn import (
     check_wellsorted,
     classify_args,
     infer_variable_sorts,
-    is_ground,
     match_pattern,
     render_term,
     renaming_match,
     substitute,
+    subterms,
     term_vars,
 )
-from rwlearn.terms import InvalidSortEnv, is_renaming, subterms
 
-from helpers import list_env, lst, nat, nat_env, random_term, tree_env
+from helpers import is_ground, is_renaming, list_env, lst, nat, nat_env, random_term, tree_env
 
 
 def test_term_vars_first_occurrence_order():
