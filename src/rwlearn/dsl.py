@@ -28,6 +28,7 @@ from .terms import (
     check_wellsorted,
     infer_variable_sorts,
     render_term,
+    term_vars,
 )
 
 
@@ -132,6 +133,7 @@ def parse_problem(text: str) -> Problem:
     raw_examples: list = []
     target = None
     while p.peek() is not None:
+        at = p.toks[p.pos]
         kw = p.ident()
         if kw == "sort":
             name = p.ident()
@@ -162,7 +164,7 @@ def parse_problem(text: str) -> Problem:
             p.take("=")
             rhs = p.term()
             p.take(";")
-            raw_examples.append((lhs, rhs))
+            raw_examples.append((at, lhs, rhs))
         elif kw == "learn":
             target = p.ident()
             p.take(";")
@@ -186,7 +188,7 @@ def parse_problem(text: str) -> Problem:
             raise ParseError(f"{sig.name} is both a constructor and a function", 0, 0)
 
     examples = []
-    for lhs_raw, rhs_raw in raw_examples:
+    for _, lhs_raw, rhs_raw in raw_examples:
         head, args = lhs_raw
         if head != target:
             raise ParseError(f"example for {head}, but learn target is {target}", 0, 0)
@@ -196,20 +198,26 @@ def parse_problem(text: str) -> Problem:
     if not examples:
         raise ParseError("no examples given", 0, 0)
 
-    # examples input check: sort inference plus full well-sortedness
+    # examples input check: sort inference, full well-sortedness, and no
+    # rhs variable that the lhs does not bind
     problem = Problem(env, list(sigs.values()), examples, target)
     sig = sigs[target]
     try:
         problem.var_sorts = infer_variable_sorts(examples, env, sig)
     except TermError as e:
         raise ParseError(f"examples input check failed: {e}", 0, 0) from e
-    for i, ex in enumerate(examples, 1):
+    for i, (ex, (at, _, _)) in enumerate(zip(examples, raw_examples), 1):
         try:
             for a, s in zip(ex.lhs_args, sig.domain):
                 check_wellsorted(a, s, env, sigs, problem.var_sorts)
             check_wellsorted(ex.rhs, sig.range, env, sigs, problem.var_sorts)
         except TermError as e:
             raise ParseError(f"example {i}: {e}", 0, 0) from e
+        lhs_vars = term_vars(ex.lhs)
+        unbound = [v for v in term_vars(ex.rhs) if v not in lhs_vars]
+        if unbound:
+            raise ParseError(f"example {i}: rhs variable {unbound[0]} does not occur on the lhs",
+                             at.line, at.column)
     return problem
 
 

@@ -11,6 +11,7 @@ system covers every given example.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .antiunify import INF, generalize_examples
@@ -80,11 +81,7 @@ class InduceConfig:
 class SchemeEquation:
     """f(x.., c(y..), x..) = g(other xs, non-recursive ys, recursive f-calls)."""
 
-    target: str
-    position: int
-    alt: ConstructorAlt
     lhs: App
-    aux_name: str
     rhs: App
     aux_sig: Signature
 
@@ -174,8 +171,7 @@ def build_scheme(env: SortEnv, sig: Signature, position: int, alt: ConstructorAl
     other_sorts = [s for i, s in enumerate(sig.domain) if i != position]
     aux_domain = tuple(other_sorts + [alt.arg_sorts[j] for j in nonrec] + [sig.range] * len(rec))
     aux_sig = Signature(aux_name, aux_domain, sig.range)
-    return SchemeEquation(sig.name, position, alt, lhs, aux_name,
-                          App(aux_name, tuple(rhs_args)), aux_sig)
+    return SchemeEquation(lhs, App(aux_name, tuple(rhs_args)), aux_sig)
 
 
 def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
@@ -197,7 +193,7 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
         args = []
         stuck_call = None
         for arg in scheme.rhs.args:
-            if isinstance(arg, App) and arg.head == scheme.target:
+            if isinstance(arg, App) and arg.head == scheme.lhs.head:
                 call = substitute(arg, binding)
                 value, warn = _resolve_call(call, all_examples)
                 if warn:
@@ -211,7 +207,7 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
         if stuck_call is not None:
             underivable.append((member, stuck_call))
             continue
-        derived.append((IOEquation(scheme.aux_name, tuple(args), member.rhs), member))
+        derived.append((IOEquation(scheme.aux_sig.name, tuple(args), member.rhs), member))
     return derived, underivable, warnings
 
 
@@ -285,13 +281,21 @@ class _Ctx:
         self.attempts: list = []
         self.warnings: list = []
         self.aux_count = 0
+        self.capped = False  # a recursion-depth or auxiliary-function cap fired
 
     def emit(self, level, kind, text):
         self.trace.append(TraceEvent(level, kind, text))
 
+    @contextmanager
+    def bracket(self, level, kind, text):
+        """Emit kind on entry and kind-end when the block ends, by return, break or continue too."""
+        self.emit(level, kind, text)
+        yield
+        self.emit(level, f"{kind}-end", text)
 
-def induce(target: str, examples, env: SortEnv, sigs, cfg: InduceConfig | None = None,
-           fresh: FreshNames | None = None) -> InduceReport:
+
+def induce(target: str, examples, env: SortEnv, sigs,
+           cfg: InduceConfig | None = None) -> InduceReport:
     """Learn a rewrite system for target that covers all given i/o equations.
 
     Failure is a value: the report carries the diagnostics (underivable
@@ -305,37 +309,34 @@ def induce(target: str, examples, env: SortEnv, sigs, cfg: InduceConfig | None =
     sig_map = {s.name: s for s in sigs}
     if target not in sig_map:
         raise ValueError(f"no signature for {target}")
-    if fresh is None:
-        reserved = set(sig_map) | env.symbols()
-        for ex in examples:
-            reserved.update(term_vars(ex.lhs))
-            reserved.update(term_vars(ex.rhs))
-        fresh = FreshNames(reserved)
-    ctx = _Ctx(env, cfg, fresh)
-    ok, rules, aux_sigs, uncovered, reason = _induce(ctx, target, examples, sig_map, layer=0,
-                                                     history=frozenset(), level=0)
-    if ok:
+    reserved = set(sig_map) | env.symbols()
+    for ex in examples:
+        reserved.update(term_vars(ex.lhs))
+        reserved.update(term_vars(ex.rhs))
+    ctx = _Ctx(env, cfg, FreshNames(reserved))
+    rules, aux_sigs, uncovered = _induce(ctx, target, examples, sig_map, 0, frozenset())
+    if rules is not None:
         # the attempt that built these rules evaluated every example against
         # them; this system only declares fewer rule-less signatures
         assert uncovered == [], "internal error: success without coverage"
-        system = RewriteSystem(rules, list(aux_sigs) + [sig_map[target]])
+        system = RewriteSystem(rules, aux_sigs + [sig_map[target]])
         failure = None
     else:
         system = None
-        if reason is None:
-            reason = "underivable-aux-examples" if ctx.underivable else "uncovered-examples"
-        failure = FailureInfo(reason, list(ctx.underivable),
-                              list(examples) if uncovered is None else uncovered)
+        reason = ("cap-exceeded" if ctx.capped else
+                  "underivable-aux-examples" if ctx.underivable else "uncovered-examples")
+        failure = FailureInfo(reason, ctx.underivable,
+                              examples if uncovered is None else uncovered)
     return InduceReport(
         target=target,
-        success=ok,
+        success=rules is not None,
         system=system,
-        aux_signatures=list(aux_sigs),
+        aux_signatures=aux_sigs,
         trace=ctx.trace,
         failure=failure,
-        derived_aux=list(ctx.derived_aux),
-        attempts=list(ctx.attempts),
-        warnings=list(ctx.warnings),
+        derived_aux=ctx.derived_aux,
+        attempts=ctx.attempts,
+        warnings=ctx.warnings,
     )
 
 
@@ -343,110 +344,98 @@ def _render_eqs(examples) -> str:
     return "[" + ",".join(ex.render() for ex in examples) + "]"
 
 
-def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history, level):
-    """Returns (ok, rules, aux signatures, uncovered, failure reason or None).
+def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
+    """Returns (rules or None on failure, aux signatures, uncovered).
 
     uncovered lists the examples that the last assembled system left
     uncovered: empty on success, None when no system was assembled.
     """
     cfg = ctx.cfg
-    ctx.emit(level, "induce", f"induce({fn})")
-    if layer > cfg.max_recursion_depth:
-        ctx.emit(level + 1, "cap", f"recursion depth cap {cfg.max_recursion_depth} exceeded")
-        ctx.emit(level, "induce-end", f"induce({fn})")
-        return False, [], [], None, "cap-exceeded"
-    if detect_repetition(history, examples):
-        ctx.emit(level + 1, "repetition", "repeated example set, aborting branch")
-        ctx.emit(level, "induce-end", f"induce({fn})")
-        return False, [], [], None, "repetition"
-    history = history | {_canonical_example_set(examples)}
-    sig = sig_map[fn]
+    level = 2 * layer
+    with ctx.bracket(level, "induce", f"induce({fn})"):
+        if layer > cfg.max_recursion_depth:
+            ctx.capped = True
+            ctx.emit(level + 1, "cap", f"recursion depth cap {cfg.max_recursion_depth} exceeded")
+            return None, [], None
+        if detect_repetition(history, examples):
+            ctx.emit(level + 1, "repetition", "repeated example set, aborting branch")
+            return None, [], None
+        history = history | {_canonical_example_set(examples)}
+        sig = sig_map[fn]
 
-    if cfg.try_whole_set_lgg_first:
-        rule = generalize_examples(fn, examples, cfg.depth, ctx.fresh.var)
-        if rule is not None:
-            candidate = RewriteSystem([rule], sig_map.values())
-            ok, uncovered = covers_all(candidate, examples, cfg.step_limit)
-            if ok:
-                ctx.emit(level + 1, "anti-unifier", f"anti-unifier: {rule.render()}")
-                ctx.emit(level + 1, "covered", "all examples covered")
-                ctx.emit(level, "induce-end", f"induce({fn})")
-                return True, [rule], [], uncovered, None
-
-    uncovered = None
-    for position in range(sig.arity):
-        ctx.emit(level + 1, "trying-position", f"trying argument position: {position + 1}")
-        rules: list[Rule] = []
-        aux_rules: list[Rule] = []
-        aux_sigs: list[Signature] = []
-        abandoned = False
-        for alt in ctx.env.alternatives(sig.domain[position]):
-            label = f"inducePos({fn},{position + 1},{alt.render()})"
-            ctx.emit(level + 1, "inducePos", label)
-            subset = split_by_constructor(examples, position, alt)
-            ctx.emit(level + 2, "matching-examples", f"matching examples: {_render_eqs(subset)}")
-            if not subset:
-                ctx.emit(level + 2, "no-examples", "no examples")
-                ctx.emit(level + 1, "inducePos-end", label)
-                continue
-            rule = generalize_examples(fn, subset, cfg.depth, ctx.fresh.var)
+        if cfg.try_whole_set_lgg_first:
+            rule = generalize_examples(fn, examples, cfg.depth, ctx.fresh.var)
             if rule is not None:
-                ctx.emit(level + 2, "anti-unifier", f"anti-unifier: {rule.render()}")
-                rules.append(rule)
-                ctx.emit(level + 1, "inducePos-end", label)
-                continue
-            rec, _ = classify_args(ctx.env, sig.domain[position], alt)
-            if not rec:
-                abandoned = True
-                ctx.emit(level + 1, "inducePos-end", label)
-                break
-            if ctx.aux_count >= cfg.max_aux_functions:
-                ctx.emit(level + 2, "cap", f"auxiliary function cap {cfg.max_aux_functions} exceeded")
-                abandoned = True
-                ctx.emit(level + 1, "inducePos-end", label)
-                break
-            scheme = build_scheme(ctx.env, sig, position, alt, ctx.fresh)
-            ctx.aux_count += 1
-            ctx.emit(level + 2, "new-scheme",
-                     f"new recursion scheme: {render_term(scheme.lhs)} = {render_term(scheme.rhs)}")
-            derived, underivable, warnings = derive_aux_examples(scheme, examples, subset)
-            ctx.warnings.extend(warnings)
-            for aux_eq, member in derived:
-                ctx.emit(level + 2, "derive",
-                         f"derive new equation: {render_term(member.rhs)} = "
-                         f"{render_term(member.lhs)} = {render_term(aux_eq.lhs)}")
-                ctx.derived_aux.append((scheme.aux_name, layer + 1, aux_eq))
-            for member, call in underivable:
-                ctx.emit(level + 2, "underivable",
-                         f"underivable equation: {member.render()} needs {render_term(call)}")
-                ctx.underivable.append(
-                    UnderivableExample(scheme.aux_name, layer + 1, member, call))
-            if not derived:
-                abandoned = True
-                ctx.emit(level + 1, "inducePos-end", label)
-                break
-            sub_sigs = dict(sig_map)
-            sub_sigs[scheme.aux_name] = scheme.aux_sig
-            sub_ok, sub_rules, sub_aux, _, _ = _induce(
-                ctx, scheme.aux_name, [eq for eq, _ in derived], sub_sigs,
-                layer + 1, history, level + 2)
-            if sub_ok:
-                rules.append(Rule(scheme.lhs, scheme.rhs))
-                aux_rules.extend(sub_rules)
-                aux_sigs.append(scheme.aux_sig)
-                aux_sigs.extend(sub_aux)
-                ctx.emit(level + 1, "inducePos-end", label)
-                continue
-            abandoned = True
-            ctx.emit(level + 1, "inducePos-end", label)
-            break
-        candidate = RewriteSystem(rules + aux_rules, list(sig_map.values()) + aux_sigs)
-        ok, uncovered = covers_all(candidate, examples, cfg.step_limit)
-        ctx.attempts.append(PositionAttempt(fn, position, candidate, uncovered, abandoned))
-        if ok and not abandoned:
-            ctx.emit(level + 1, "covered", "all examples covered")
-            ctx.emit(level, "induce-end", f"induce({fn})")
-            return True, rules + aux_rules, aux_sigs, uncovered, None
-        ctx.emit(level + 1, "uncovered", f"uncovered examples: {_render_eqs(uncovered)}")
-    ctx.emit(level, "induce-end", f"induce({fn})")
-    return False, [], [], uncovered, None
+                candidate = RewriteSystem([rule], sig_map.values())
+                ok, uncovered = covers_all(candidate, examples, cfg.step_limit)
+                if ok:
+                    ctx.emit(level + 1, "anti-unifier", f"anti-unifier: {rule.render()}")
+                    ctx.emit(level + 1, "covered", "all examples covered")
+                    return [rule], [], uncovered
+
+        uncovered = None
+        for position in range(sig.arity):
+            ctx.emit(level + 1, "trying-position", f"trying argument position: {position + 1}")
+            rules: list[Rule] = []
+            aux_rules: list[Rule] = []
+            aux_sigs: list[Signature] = []
+            abandoned = True  # unless every constructor alternative is learned
+            for alt in ctx.env.alternatives(sig.domain[position]):
+                with ctx.bracket(level + 1, "inducePos",
+                                 f"inducePos({fn},{position + 1},{alt.render()})"):
+                    subset = split_by_constructor(examples, position, alt)
+                    ctx.emit(level + 2, "matching-examples",
+                             f"matching examples: {_render_eqs(subset)}")
+                    if not subset:
+                        ctx.emit(level + 2, "no-examples", "no examples")
+                        continue
+                    rule = generalize_examples(fn, subset, cfg.depth, ctx.fresh.var)
+                    if rule is not None:
+                        ctx.emit(level + 2, "anti-unifier", f"anti-unifier: {rule.render()}")
+                        rules.append(rule)
+                        continue
+                    rec, _ = classify_args(ctx.env, sig.domain[position], alt)
+                    if not rec:
+                        break
+                    if ctx.aux_count >= cfg.max_aux_functions:
+                        ctx.capped = True
+                        ctx.emit(level + 2, "cap",
+                                 f"auxiliary function cap {cfg.max_aux_functions} exceeded")
+                        break
+                    scheme = build_scheme(ctx.env, sig, position, alt, ctx.fresh)
+                    aux_name = scheme.aux_sig.name
+                    ctx.aux_count += 1
+                    ctx.emit(level + 2, "new-scheme", f"new recursion scheme: "
+                             f"{render_term(scheme.lhs)} = {render_term(scheme.rhs)}")
+                    derived, underivable, warnings = derive_aux_examples(scheme, examples, subset)
+                    ctx.warnings.extend(warnings)
+                    for aux_eq, member in derived:
+                        ctx.emit(level + 2, "derive",
+                                 f"derive new equation: {render_term(member.rhs)} = "
+                                 f"{render_term(member.lhs)} = {render_term(aux_eq.lhs)}")
+                        ctx.derived_aux.append((aux_name, layer + 1, aux_eq))
+                    for member, call in underivable:
+                        ctx.emit(level + 2, "underivable", f"underivable equation: "
+                                 f"{member.render()} needs {render_term(call)}")
+                        ctx.underivable.append(
+                            UnderivableExample(aux_name, layer + 1, member, call))
+                    if not derived:
+                        break
+                    sub_rules, sub_aux, _ = _induce(
+                        ctx, aux_name, [eq for eq, _ in derived],
+                        {**sig_map, aux_name: scheme.aux_sig}, layer + 1, history)
+                    if sub_rules is None:
+                        break
+                    rules.append(Rule(scheme.lhs, scheme.rhs))
+                    aux_rules.extend(sub_rules)
+                    aux_sigs += [scheme.aux_sig, *sub_aux]
+            else:
+                abandoned = False
+            candidate = RewriteSystem(rules + aux_rules, list(sig_map.values()) + aux_sigs)
+            ok, uncovered = covers_all(candidate, examples, cfg.step_limit)
+            ctx.attempts.append(PositionAttempt(fn, position, candidate, uncovered, abandoned))
+            if ok and not abandoned:
+                ctx.emit(level + 1, "covered", "all examples covered")
+                return rules + aux_rules, aux_sigs, uncovered
+            ctx.emit(level + 1, "uncovered", f"uncovered examples: {_render_eqs(uncovered)}")
+        return None, [], uncovered

@@ -24,9 +24,14 @@ class StepLimitExceeded(EvalError):
 
 
 class StuckTerm(EvalError):
+    """Rendered only when read: coverage checks catch and drop most of these."""
+
     def __init__(self, term: Term):
-        super().__init__(f"no rule applies to {render_term(term)}")
+        super().__init__(term)
         self.term = term
+
+    def __str__(self):
+        return f"no rule applies to {render_term(self.term)}"
 
 
 class RuleError(ValueError):

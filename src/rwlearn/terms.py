@@ -65,17 +65,7 @@ Substitution = dict
 
 def term_vars(t: Term) -> list[str]:
     """Variable names occurring in t, in first-occurrence order."""
-    seen: dict[str, None] = {}
-
-    def walk(u: Term):
-        if isinstance(u, Var):
-            seen.setdefault(u.name)
-        else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
-    return list(seen)
+    return list(dict.fromkeys(u.name for u in subterms(t) if isinstance(u, Var)))
 
 
 def subterms(t: Term):
@@ -122,28 +112,11 @@ def match_pattern(pattern: Term, subject: Term) -> Substitution | None:
 
 def renaming_match(t1: Term, t2: Term) -> Substitution | None:
     """An injective variable-to-variable map sigma with substitute(t1, sigma) == t2."""
-    fwd: Substitution = {}
-    used_images: set[str] = set()
-
-    def walk(a: Term, b: Term) -> bool:
-        if isinstance(a, Var):
-            if not isinstance(b, Var):
-                return False
-            bound = fwd.get(a.name)
-            if bound is None:
-                if b.name in used_images:
-                    return False
-                fwd[a.name] = b
-                used_images.add(b.name)
-                return True
-            return bound == b
-        if isinstance(b, Var):
-            return False
-        if a.head != b.head or len(a.args) != len(b.args):
-            return False
-        return all(walk(x, y) for x, y in zip(a.args, b.args))
-
-    return fwd if walk(t1, t2) else None
+    sigma = match_pattern(t1, t2)
+    if sigma is None or not all(isinstance(v, Var) for v in sigma.values()) \
+            or len(set(sigma.values())) != len(sigma):
+        return None
+    return sigma
 
 
 def render_term(t: Term) -> str:

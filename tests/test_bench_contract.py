@@ -3,14 +3,21 @@
 `bench/tracer.py` wraps rwlearn module attributes by name, and a benchmark
 run must end in one JSON result line.  A refactor that renames a wrapped
 function, or prints after the result, breaks the benchmark silently; these
-tests make it fail here instead.
+tests make it fail here instead.  `bench/run.py` builds a workload and warms
+it up outside its per-operation error handling, so an exception there ends
+the run before its result line; every workload is therefore also built and
+swept here.
 """
 
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -38,3 +45,17 @@ def test_seed_cli_run_ends_in_a_correct_result_line():
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)
+
+
+@pytest.mark.parametrize("name", ["learn_scale", "eval_long"])
+def test_workload_builds_warms_up_and_passes_every_check(name, monkeypatch):
+    # seed_cli runs whole, through bench/run.py, in the test above
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    run = importlib.import_module("run")
+    # the modules already imported, not run.import_rwlearn's fresh copies,
+    # whose classes other tests' terms would not be instances of
+    rw = SimpleNamespace(**{m: importlib.import_module(f"rwlearn.{m}") for m in run.MODULES})
+    workload = run.WORKLOADS[name](rw, 1, ROOT)
+    workload.warm_up()
+    for op in workload.ops():
+        op.check(op.run(), 0.0)

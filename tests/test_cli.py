@@ -60,6 +60,13 @@ def test_failure_run_exits_1_with_diagnostics():
     assert "auxiliary layer 2" in out
 
 
+@pytest.mark.parametrize("cap", ["--max-depth", "--max-aux"])
+def test_cap_failure_exits_1_naming_the_cap(cap):
+    code, out, _ = run_main(str(PROBLEMS / "size.tl"), "--no-trace", cap, "1")
+    assert code == 1
+    assert "SYNTHESIS FAILED: cap-exceeded\n" in out
+
+
 def test_missing_file_exits_2():
     code, _, err = run_main(str(PROBLEMS / "missing.tl"))
     assert code == 2
@@ -72,6 +79,16 @@ def test_parse_error_exits_2(tmp_path):
     code, _, err = run_main(str(bad))
     assert code == 2
     assert "missing learn" in err
+
+
+def test_rhs_only_variable_exits_2(tmp_path):
+    bad = tmp_path / "bad.tl"
+    bad.write_text("sort nat = 0 | s(nat) ;\nfun f : nat -> nat ;\n"
+                   "ex f(0) = 0 ;\n  ex f(0) = s(q) ;\nlearn f ;\n")
+    code, out, err = run_main(str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4:3: example 2: rhs variable q does not occur on the lhs\n"
 
 
 def test_json_export_schema(tmp_path):

@@ -73,6 +73,9 @@ def test_parse_error_reports_position():
     (GOOD.replace("ex dup(0) = 0 ;", "ex s(0) = 0 ;"), "learn target"),
     ("sort nat = 0 | 0 ; fun f : nat -> nat ; ex f(0) = 0 ; learn f ;",
      "declared twice"),
+    # positioned at the example's `ex` keyword
+    (GOOD.replace("ex dup(s(0)) = s(s(0)) ;", "ex dup(s(x)) = s(q) ;"),
+     "6:1: example 2: rhs variable q does not occur on the lhs"),
 ])
 def test_parse_problem_rejects_malformed_input(text, fragment):
     with pytest.raises(ParseError) as info:

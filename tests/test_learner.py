@@ -173,6 +173,7 @@ def test_induce_respects_recursion_depth_cap():
                     problem.signatures, problem.config)
     assert not report.success
     assert any(e.kind == "cap" for e in report.trace)
+    assert report.failure.reason == "cap-exceeded"
 
 
 def test_induce_respects_aux_function_cap():
@@ -181,6 +182,7 @@ def test_induce_respects_aux_function_cap():
                     problem.signatures, problem.config)
     assert not report.success
     assert any(e.kind == "cap" for e in report.trace)
+    assert report.failure.reason == "cap-exceeded"
 
 
 def test_trace_vocabulary_and_nesting():

@@ -51,6 +51,7 @@ def test_stuck_term_reports_the_redex():
     with pytest.raises(StuckTerm) as info:
         evaluate(sys, App("f", (nat(1),)))
     assert info.value.term == App("f", (nat(1),))
+    assert str(info.value) == "no rule applies to f(s(0))"
 
 
 def test_step_limit_exceeded():
