@@ -169,6 +169,13 @@ def _parse_depth(text: str):
     return value
 
 
+def _parse_cap(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rwlearn",
@@ -182,10 +189,10 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", action=argparse.BooleanOptionalAction, default=True,
                         help="print the induction trace to stderr (default on)")
     parser.add_argument("--json", metavar="PATH", help="write a JSON report to PATH")
-    parser.add_argument("--step-limit", type=int, default=10000, metavar="N")
-    parser.add_argument("--max-aux", type=int, default=50, metavar="N",
+    parser.add_argument("--step-limit", type=_parse_cap, default=10000, metavar="N")
+    parser.add_argument("--max-aux", type=_parse_cap, default=50, metavar="N",
                         help="cap on auxiliary functions per run")
-    parser.add_argument("--max-depth", type=int, default=10, metavar="N",
+    parser.add_argument("--max-depth", type=_parse_cap, default=10, metavar="N",
                         help="cap on auxiliary recursion layers")
     parser.add_argument("--whole-set-lgg", action="store_true",
                         help="try anti-unifying the whole example set before splitting")

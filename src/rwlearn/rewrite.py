@@ -8,9 +8,10 @@ matching rule, so it is a deterministic function of (system, term, limit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_not
 
-from .terms import (App, IOEquation, Term, Var, match_pattern, render_term, substitute, subterms,
-                    term_vars)
+from .terms import (App, IOEquation, Term, Var, match_pattern, render_term, same_term, substitute,
+                    subterms, term_vars)
 
 
 class EvalError(Exception):
@@ -96,38 +97,59 @@ class RewriteSystem:
         return self._by_head.get(name, ())
 
 
-def _rewrite_innermost(sys: RewriteSystem, t: Term):
-    """One leftmost-innermost step; returns the new term or None when t is normal.
+def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000):
+    """Normal form of t together with the number of rewrite steps taken.
 
-    Raises StuckTerm when an innermost defined-symbol subterm matches no rule
-    (its arguments are already normal, so it can never become reducible).
+    Call by value over an explicit stack: the arguments of an App are
+    normalised left to right, then a defined root is contracted with the
+    first rule that matches and the contractum is normalised in turn.  This
+    contracts the leftmost-innermost redex at every step without going back
+    to the root, so a step costs the size of its rule, not of the term.
+
+    Raises StuckTerm when a defined-symbol subterm with normal arguments
+    matches no rule (it can never become reducible), and StepLimitExceeded
+    on the step after the limit.
     """
     if isinstance(t, Var):
-        return None
-    for i, a in enumerate(t.args):
-        new = _rewrite_innermost(sys, a)
-        if new is not None:
-            return App(t.head, t.args[:i] + (new,) + t.args[i + 1:])
-    if sys.is_defined(t.head):
-        for rule in sys.rules_for(t.head):
-            binding = match_pattern(rule.lhs, t)
-            if binding is not None:
-                return substitute(rule.rhs, binding)
-        raise StuckTerm(t)
-    return None
-
-
-def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000):
-    """Normal form of t together with the number of rewrite steps taken."""
+        return t, 0
+    defined = sys.sig_by_name
     steps = 0
+    # One frame per App being normalised: the App, a shape whose Var
+    # positions mark the arguments already known to be normal, and the normal
+    # forms of the arguments done so far.  A contractum's shape is its rule's
+    # rhs: the images of the rhs variables are parts of normal arguments.
+    frames = [(t, t.args, [])]
     while True:
-        new = _rewrite_innermost(sys, t)
-        if new is None:
-            return t, steps
-        steps += 1
-        if steps > step_limit:
-            raise StepLimitExceeded(step_limit)
-        t = new
+        term, shape, done = frames[-1]
+        i = len(done)
+        if i < len(shape):
+            arg = term.args[i]
+            if isinstance(shape[i], Var):
+                done.append(arg)
+            else:
+                frames.append((arg, shape[i].args, []))
+            continue
+        frames.pop()
+        if any(map(is_not, done, term.args)):
+            term = App(term.head, tuple(done))
+        if term.head in defined:
+            for rule in sys.rules_for(term.head):
+                binding = match_pattern(rule.lhs, term)
+                if binding is not None:
+                    break
+            else:
+                raise StuckTerm(term)
+            contractum = substitute(rule.rhs, binding)
+            steps += 1
+            if steps > step_limit:
+                raise StepLimitExceeded(step_limit)
+            if isinstance(rule.rhs, App):
+                frames.append((contractum, rule.rhs.args, []))
+                continue
+            term = contractum
+        if not frames:
+            return term, steps
+        frames[-1][2].append(term)
 
 
 def evaluate(sys: RewriteSystem, t: Term, step_limit: int = 10000) -> Term:
@@ -142,7 +164,7 @@ def covers(sys: RewriteSystem, ex: IOEquation, step_limit: int = 10000) -> bool:
     subterm or step limit) counts as not covered, never as an exception.
     """
     try:
-        return evaluate(sys, ex.lhs, step_limit) == ex.rhs
+        return same_term(evaluate(sys, ex.lhs, step_limit), ex.rhs)
     except EvalError:
         return False
 

@@ -86,28 +86,46 @@ def substitute(t: Term, subst: Substitution) -> Term:
     return App(t.head, tuple(substitute(a, subst) for a in t.args))
 
 
+def same_term(a: Term, b: Term) -> bool:
+    """a == b, compared with an explicit stack instead of the recursive dataclass `==`."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if isinstance(a, Var) or isinstance(b, Var):
+            if a != b:
+                return False
+        elif a.head != b.head or len(a.args) != len(b.args):
+            return False
+        else:
+            stack.extend(zip(a.args, b.args))
+    return True
+
+
 def match_pattern(pattern: Term, subject: Term) -> Substitution | None:
     """The unique minimal substitution sigma with substitute(pattern, sigma) == subject.
 
     Subject variables are rigid atoms: they are matched only by an identical
     variable or by a pattern variable.  Returns None if no match exists.
+    Variables are bound in pre-order of their first occurrence in pattern.
     """
     binding: Substitution = {}
-
-    def walk(p: Term, s: Term) -> bool:
+    stack = [(pattern, subject)]
+    while stack:
+        p, s = stack.pop()
         if isinstance(p, Var):
             bound = binding.get(p.name)
             if bound is None:
                 binding[p.name] = s
-                return True
-            return bound == s
-        if isinstance(s, Var):
-            return False
-        if p.head != s.head or len(p.args) != len(s.args):
-            return False
-        return all(walk(a, b) for a, b in zip(p.args, s.args))
-
-    return binding if walk(pattern, subject) else None
+            elif not same_term(bound, s):
+                return None
+        elif isinstance(s, Var) or p.head != s.head or len(p.args) != len(s.args):
+            return None
+        elif p.args:
+            # reversed, so that the leftmost argument pair is popped first
+            stack.extend(zip(reversed(p.args), reversed(s.args)))
+    return binding
 
 
 def renaming_match(t1: Term, t2: Term) -> Substitution | None:

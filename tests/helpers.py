@@ -6,6 +6,7 @@ import itertools
 import pathlib
 
 from rwlearn import InduceConfig, induce, parse_problem
+from rwlearn.rewrite import StepLimitExceeded, StuckTerm
 from rwlearn.terms import (
     App,
     ConstructorAlt,
@@ -14,6 +15,7 @@ from rwlearn.terms import (
     Var,
     match_pattern,
     renaming_match,
+    substitute,
     subterms,
     term_vars,
 )
@@ -145,6 +147,60 @@ def is_ground(t) -> bool:
 def is_renaming(subst: dict) -> bool:
     images = list(subst.values())
     return all(isinstance(v, Var) for v in images) and len({v.name for v in images}) == len(images)
+
+
+def closure_match_pattern(pattern, subject):
+    """Oracle for `terms.match_pattern`: the same match, by a recursive walk.
+
+    Binds variables in pre-order of their first occurrence in pattern and
+    stops at the first mismatch.
+    """
+    binding = {}
+
+    def walk(p, s) -> bool:
+        if isinstance(p, Var):
+            bound = binding.get(p.name)
+            if bound is None:
+                binding[p.name] = s
+                return True
+            return bound == s
+        if isinstance(s, Var):
+            return False
+        if p.head != s.head or len(p.args) != len(s.args):
+            return False
+        return all(walk(a, b) for a, b in zip(p.args, s.args))
+
+    return binding if walk(pattern, subject) else None
+
+
+def _rewrite_innermost(system, t):
+    """One leftmost-innermost step from the root; the new term, or None when t is normal."""
+    if isinstance(t, Var):
+        return None
+    for i, a in enumerate(t.args):
+        new = _rewrite_innermost(system, a)
+        if new is not None:
+            return App(t.head, t.args[:i] + (new,) + t.args[i + 1:])
+    if system.is_defined(t.head):
+        for rule in system.rules_for(t.head):
+            binding = closure_match_pattern(rule.lhs, t)
+            if binding is not None:
+                return substitute(rule.rhs, binding)
+        raise StuckTerm(t)
+    return None
+
+
+def restarting_evaluate_steps(system, t, step_limit: int = 10000):
+    """Oracle for `rewrite.evaluate_steps`: every step searches for its redex from the root."""
+    steps = 0
+    while True:
+        new = _rewrite_innermost(system, t)
+        if new is None:
+            return t, steps
+        steps += 1
+        if steps > step_limit:
+            raise StepLimitExceeded(step_limit)
+        t = new
 
 
 def canonical_rules(rules, fixed_symbols) -> tuple:

@@ -6,10 +6,13 @@ function, or prints after the result, breaks the benchmark silently; these
 tests make it fail here instead.  `bench/run.py` builds a workload and warms
 it up outside its per-operation error handling, so an exception there ends
 the run before its result line; every workload is therefore also built and
-swept here.
+swept here.  A `--trace 1` run is correct only when every call site it
+must reach is hit, so the evaluator's sites are checked on one CLI run too.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -59,3 +62,14 @@ def test_workload_builds_warms_up_and_passes_every_check(name, monkeypatch):
     workload.warm_up()
     for op in workload.ops():
         op.check(op.run(), 0.0)
+
+
+def test_cli_run_reaches_the_traced_rewrite_sites(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    run = importlib.import_module("run")
+    rw = SimpleNamespace(**{m: importlib.import_module(f"rwlearn.{m}") for m in run.MODULES})
+    tracer = run.Tracer(rw)
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert rw.cli.main([str(ROOT / "problems" / "add.tl"), "--no-trace"]) == 0
+    for attr in ("match_pattern", "substitute", "evaluate_steps"):
+        assert tracer.spans["rewrite", attr].calls > 0, attr

@@ -131,6 +131,30 @@ def test_depth_flag_validation():
         run_main(str(PROBLEMS / "add.tl"), "--depth", "two")
 
 
+@pytest.mark.parametrize("flag, value", [("--max-aux", "0"), ("--max-depth", "0"),
+                                         ("--step-limit", "-1")])
+def test_out_of_range_cap_exits_2_naming_the_flag(flag, value):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+        main([str(PROBLEMS / "add.tl"), flag, value])
+    assert info.value.code == 2
+    assert f"argument {flag}: must be >= 1" in err.getvalue()
+
+
+def test_deep_example_is_learned(tmp_path):
+    # 300-deep terms: evaluation and coverage must not depend on the recursion limit
+    text = (PROBLEMS / "add.tl").read_text()
+    deep = tmp_path / "add.tl"
+    deep.write_text(text.replace(
+        "learn add", f"ex add({'s(' * 300}0{')' * 300}, s(0)) = {'s(' * 301}0{')' * 301} ;\n"
+                     "learn add"))
+    code, out, _ = run_main(str(deep), "--no-trace")
+    assert code == 0
+    _, plain, _ = run_main(str(PROBLEMS / "add.tl"), "--no-trace")
+    definitions = out[out.index("FUNCTION DEFINITIONS:"):]
+    assert definitions == plain[plain.index("FUNCTION DEFINITIONS:"):]
+
+
 def test_depth_flag_changes_result():
     code, *_ = run_main(str(PROBLEMS / "size.tl"), "--no-trace", "--depth", "2")
     assert code == 1

@@ -1,5 +1,7 @@
 """Unit tests for rule admission, innermost evaluation and coverage."""
 
+from sys import getrecursionlimit
+
 import pytest
 
 from rwlearn.rewrite import (
@@ -14,7 +16,7 @@ from rwlearn.rewrite import (
     evaluate_steps,
     rule_defect,
 )
-from rwlearn.terms import App, Signature, Var
+from rwlearn.terms import App, Signature, Var, match_pattern, same_term
 
 from helpers import eq, lst, nat
 
@@ -37,6 +39,22 @@ def test_evaluate_addition():
 def test_evaluate_steps_counts_rewrites():
     _, steps = evaluate_steps(add_system(), App("add", (nat(2), nat(3))))
     assert steps == 3  # two s-steps plus the base case
+
+
+def test_evaluation_and_matching_do_not_recurse_on_deep_terms():
+    n = getrecursionlimit() + 100
+    out, steps = evaluate_steps(add_system(), App("add", (nat(n), nat(n))), step_limit=2 * n)
+    assert steps == n + 1
+    assert same_term(out, nat(2 * n))
+    assert not same_term(out, nat(2 * n - 1))
+    x = Var("x")
+    deep_pattern = x
+    for _ in range(n):
+        deep_pattern = App("s", (deep_pattern,))
+    assert match_pattern(deep_pattern, nat(n)) == {"x": App("0")}
+    # a non-linear pattern compares the two deep images
+    assert match_pattern(App("f", (x, x)), App("f", (nat(n), nat(n)))) is not None
+    assert match_pattern(App("f", (x, x)), App("f", (nat(n), nat(n + 1)))) is None
 
 
 def test_evaluate_normal_form_is_fixed_point():
