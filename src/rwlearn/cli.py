@@ -163,14 +163,20 @@ def _write_json(path: str, doc: dict):
 def _parse_depth(text: str):
     if text in ("inf", "infinity"):
         return INF
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("depth must be >= 1 or 'inf'")
     return value
 
 
 def _parse_cap(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value

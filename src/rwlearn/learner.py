@@ -11,6 +11,7 @@ system covers every given example.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .terms import (
     classify_args,
     match_pattern,
     render_term,
+    renaming_key,
     renaming_match,
     substitute,
     term_vars,
@@ -179,10 +181,14 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
 
     Each recursive target call is resolved against the lhs of some given
     example via a renaming substitution; its rhs, renamed accordingly, stands
-    in for the call.  Members with an unresolvable call are returned as
-    underivable.  Returns (aux examples, underivable members, warnings),
-    where aux examples carry the originating member and the built call.
+    in for the call.  The candidates are looked up by renaming key, in example
+    order.  Members with an unresolvable call are returned as underivable.
+    Returns (aux examples, underivable members, warnings), where aux examples
+    carry the originating member and the built call.
     """
+    by_key: dict[tuple, list[IOEquation]] = {}
+    for ex in all_examples:
+        by_key.setdefault(renaming_key(ex.lhs), []).append(ex)
     derived = []
     underivable = []
     warnings = []
@@ -195,7 +201,7 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
         for arg in scheme.rhs.args:
             if isinstance(arg, App) and arg.head == scheme.lhs.head:
                 call = substitute(arg, binding)
-                value, warn = _resolve_call(call, all_examples)
+                value, warn = _resolve_call(call, by_key.get(renaming_key(call), ()))
                 if warn:
                     warnings.append(warn)
                 if value is None:
@@ -230,36 +236,11 @@ def _resolve_call(call: App, examples):
 def _canonical_example_set(examples) -> frozenset:
     """Example multiset up to variable renaming and head-symbol renaming.
 
-    Equations are keyed by their shape with the top function symbol erased;
-    variables are renamed by first occurrence while scanning equations in
-    sorted skeleton order, so renamed sets compare equal.
+    Example variables are quantified per equation, so each equation is keyed
+    by the renaming key of its sides with the function symbol erased.
     """
-
-    def skeleton(ex: IOEquation) -> str:
-        def blind(t: Term) -> str:
-            if isinstance(t, Var):
-                return "_"
-            return f"{t.head}({','.join(blind(a) for a in t.args)})"
-
-        return f"{','.join(blind(a) for a in ex.lhs_args)}={blind(ex.rhs)}"
-
-    ordered = sorted(examples, key=skeleton)
-    renaming: dict[str, str] = {}
-
-    def canon(t: Term) -> Term:
-        if isinstance(t, Var):
-            name = renaming.setdefault(t.name, f"_{len(renaming)}")
-            return Var(name)
-        return App(t.head, tuple(canon(a) for a in t.args))
-
-    keyed = [
-        (tuple(canon(a) for a in ex.lhs_args), canon(ex.rhs))
-        for ex in ordered
-    ]
-    counted: dict = {}
-    for item in keyed:
-        counted[item] = counted.get(item, 0) + 1
-    return frozenset(counted.items())
+    return frozenset(Counter(renaming_key(App("", (*ex.lhs_args, ex.rhs)))
+                             for ex in examples).items())
 
 
 def detect_repetition(history, current) -> bool:

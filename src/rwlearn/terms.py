@@ -137,6 +137,22 @@ def renaming_match(t1: Term, t2: Term) -> Substitution | None:
     return sigma
 
 
+def renaming_key(t: Term) -> tuple:
+    """A hashable key with renaming_key(t1) == renaming_key(t2) iff renaming_match(t1, t2).
+
+    The pre-order sequence of heads with their arities, and of variables
+    numbered by first occurrence.
+    """
+    numbers: dict[str, int] = {}
+    key = []
+    for u in subterms(t):
+        if isinstance(u, Var):
+            key.append(numbers.setdefault(u.name, len(numbers)))
+        else:
+            key += (u.head, len(u.args))
+    return tuple(key)
+
+
 def render_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name

@@ -6,6 +6,7 @@ import itertools
 import pathlib
 
 from rwlearn import InduceConfig, induce, parse_problem
+from rwlearn.learner import _resolve_call
 from rwlearn.rewrite import StepLimitExceeded, StuckTerm
 from rwlearn.terms import (
     App,
@@ -201,6 +202,36 @@ def restarting_evaluate_steps(system, t, step_limit: int = 10000):
         if steps > step_limit:
             raise StepLimitExceeded(step_limit)
         t = new
+
+
+def scan_derive_aux_examples(scheme, all_examples, subset):
+    """Oracle for `learner.derive_aux_examples`: every call is tried against every example."""
+    derived = []
+    underivable = []
+    warnings = []
+    for member in subset:
+        binding = match_pattern(scheme.lhs, member.lhs)
+        if binding is None:
+            raise ValueError("subset member does not match the scheme lhs")
+        args = []
+        stuck_call = None
+        for arg in scheme.rhs.args:
+            if isinstance(arg, App) and arg.head == scheme.lhs.head:
+                call = substitute(arg, binding)
+                value, warn = _resolve_call(call, all_examples)
+                if warn:
+                    warnings.append(warn)
+                if value is None:
+                    stuck_call = call
+                    break
+                args.append(value)
+            else:
+                args.append(substitute(arg, binding))
+        if stuck_call is not None:
+            underivable.append((member, stuck_call))
+            continue
+        derived.append((IOEquation(scheme.aux_sig.name, tuple(args), member.rhs), member))
+    return derived, underivable, warnings
 
 
 def canonical_rules(rules, fixed_symbols) -> tuple:

@@ -6,8 +6,10 @@ function, or prints after the result, breaks the benchmark silently; these
 tests make it fail here instead.  `bench/run.py` builds a workload and warms
 it up outside its per-operation error handling, so an exception there ends
 the run before its result line; every workload is therefore also built and
-swept here.  A `--trace 1` run is correct only when every call site it
-must reach is hit, so the evaluator's sites are checked on one CLI run too.
+swept here, traced.  A `--trace 1` run is correct only when every call
+site it must reach is hit, and reports only the per-layer metrics of the
+sites that exist; the swept workloads check both, and the evaluator's sites
+are checked on one CLI run too.
 """
 
 import contextlib
@@ -58,10 +60,21 @@ def test_workload_builds_warms_up_and_passes_every_check(name, monkeypatch):
     # the modules already imported, not run.import_rwlearn's fresh copies,
     # whose classes other tests' terms would not be instances of
     rw = SimpleNamespace(**{m: importlib.import_module(f"rwlearn.{m}") for m in run.MODULES})
-    workload = run.WORKLOADS[name](rw, 1, ROOT)
-    workload.warm_up()
-    for op in workload.ops():
-        op.check(op.run(), 0.0)
+    # traced, as a --trace 1 run is: its result line carries only the metrics
+    # of call sites that still exist, and fails on a site the workload must reach
+    tracer = run.Tracer(rw)
+    with tracer.installed():
+        workload = run.WORKLOADS[name](rw, 1, ROOT)
+        workload.warm_up()
+        for op in workload.ops():
+            result = op.run()
+            with tracer.paused():
+                op.check(result, 0.0)
+    assert tracer.unhit(name) == []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    # run.py adds the overhead ratio itself, from its untraced passes
+    expected = {m["name"] for m in declared} - {"trace.overhead_ratio"}
+    assert expected <= set(run.layer_metrics(**tracer.snapshot()))
 
 
 def test_cli_run_reaches_the_traced_rewrite_sites(monkeypatch):

@@ -141,6 +141,19 @@ def test_out_of_range_cap_exits_2_naming_the_flag(flag, value):
     assert f"argument {flag}: must be >= 1" in err.getvalue()
 
 
+@pytest.mark.parametrize("flag, expected", [
+    ("--max-aux", "expected an integer, got 'two'"),
+    ("--step-limit", "expected an integer, got 'two'"),
+    ("--depth", "expected an integer or 'inf', got 'two'"),
+])
+def test_non_integer_flag_exits_2_naming_the_flag(flag, expected):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+        main([str(PROBLEMS / "add.tl"), flag, "two"])
+    assert info.value.code == 2
+    assert f"argument {flag}: {expected}\n" in err.getvalue()
+
+
 def test_deep_example_is_learned(tmp_path):
     # 300-deep terms: evaluation and coverage must not depend on the recursion limit
     text = (PROBLEMS / "add.tl").read_text()

@@ -1,10 +1,13 @@
-"""The explicit-stack evaluator and matcher against the recursive oracles in helpers.
+"""The explicit-stack evaluator, the matcher and the call lookup against the oracles in helpers.
 
 `rewrite.evaluate_steps` must contract the same redexes in the same order as
 `restarting_evaluate_steps`, which searches for each redex from the root: the
 same normal form and step count, or the same exception with the same stuck
 term or limit.  `terms.match_pattern` must return the binding of
-`closure_match_pattern`, in the same key order.
+`closure_match_pattern`, in the same key order.  `learner.derive_aux_examples`,
+which looks each recursive call up by renaming key, must return what
+`scan_derive_aux_examples` returns by trying every example, in the same order;
+`terms.renaming_key` must agree with `terms.renaming_match`.
 """
 
 import random
@@ -12,11 +15,32 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rwlearn.learner import FreshNames, build_scheme, derive_aux_examples, split_by_constructor
 from rwlearn.rewrite import RewriteSystem, Rule, StepLimitExceeded, StuckTerm, evaluate_steps
 from rwlearn.simplify import inline_single_rule_aux, prune_irrelevant_args
-from rwlearn.terms import App, Signature, Var, match_pattern, same_term, substitute, term_vars
+from rwlearn.terms import (
+    App,
+    Signature,
+    Var,
+    classify_args,
+    match_pattern,
+    renaming_key,
+    renaming_match,
+    same_term,
+    substitute,
+    term_vars,
+)
 
-from helpers import closure_match_pattern, restarting_evaluate_steps, run_file
+from helpers import (
+    closure_match_pattern,
+    eq,
+    list_env,
+    nat_env,
+    random_term,
+    restarting_evaluate_steps,
+    run_file,
+    scan_derive_aux_examples,
+)
 
 # the successful runs of scripts/run_all_problems.py: (file, config, inline)
 SEED_RUNS = [
@@ -157,3 +181,106 @@ def test_match_pattern_agrees_with_the_closure_matcher(seed):
         assert list(binding) == list(expected)
     assert same_term(pattern, subject) == (pattern == subject)
     assert same_term(subject, substitute(subject, {}))  # an equal copy, not the same object
+
+
+def random_example_set(rng):
+    """(env, signature, i/o equations) over nat or list, drawn so that many calls resolve.
+
+    Variable names are shared between equations and often repeat within one
+    lhs.  Some equations hold the recursive call of another, and some are
+    renamed duplicates of another, with an equal or a conflicting rhs.
+    """
+    env = rng.choice([nat_env(), list_env()])
+    sig = Signature("f", (rng.choice(list(env.sorts)), "nat"), "nat")
+    pool = {"nat": ["x", "y"], "list": ["k", "l"]}
+
+    def rhs():
+        return random_term(env, sig.range, 3, rng, pool)
+
+    examples = [eq("f", [random_term(env, s, rng.randint(1, 4), rng, pool) for s in sig.domain],
+                   rhs())
+                for _ in range(rng.randint(1, 6))]
+    for ex in list(examples):
+        i = rng.randrange(sig.arity)
+        arg = ex.lhs_args[i]
+        if isinstance(arg, App) and rng.random() < 0.7:
+            rec, _ = classify_args(env, sig.domain[i], env.constructor_home(arg.head)[1])
+            if rec:
+                args = list(ex.lhs_args)
+                args[i] = arg.args[rng.choice(rec)]
+                examples.append(eq("f", args, rhs()))
+    for ex in rng.sample(examples, rng.randint(0, len(examples))):
+        names = term_vars(ex.lhs)
+        renaming = dict(zip(names, map(Var, rng.sample(["x", "y", "k", "l", "u", "w"],
+                                                          len(names)))))
+        renamed = substitute(ex.rhs, renaming) if rng.random() < 0.5 else rhs()
+        examples.insert(rng.randint(0, len(examples)),
+                        eq("f", [substitute(a, renaming) for a in ex.lhs_args], renamed))
+    return env, sig, examples
+
+
+def derivations(seed):
+    """(indexed, scanning) derive_aux_examples results for every recursive scheme of one draw."""
+    env, sig, examples = random_example_set(random.Random(seed))
+    reserved = {v for ex in examples for v in term_vars(ex.lhs) + term_vars(ex.rhs)}
+    out = []
+    for position, sort in enumerate(sig.domain):
+        for alt in env.alternatives(sort):
+            if classify_args(env, sort, alt)[0]:
+                scheme = build_scheme(env, sig, position, alt, FreshNames(reserved))
+                subset = split_by_constructor(examples, position, alt)
+                out.append((derive_aux_examples(scheme, examples, subset),
+                            scan_derive_aux_examples(scheme, examples, subset)))
+    return out
+
+
+@given(st.integers(0, 10**9))
+def test_indexed_call_lookup_agrees_with_the_scan(seed):
+    for indexed, scanned in derivations(seed):
+        assert indexed == scanned
+
+
+def test_example_set_draws_reach_every_outcome():
+    # the property above is vacuous unless calls resolve, fail and conflict
+    results = [indexed for seed in range(100) for indexed, _ in derivations(seed)]
+    assert any(derived for derived, _, _ in results)
+    assert any(underivable for _, underivable, _ in results)
+    assert any(warnings for _, _, warnings in results)
+
+
+def assert_key_agrees_with_renaming_match(a, b):
+    both_ways = renaming_match(a, b) is not None and renaming_match(b, a) is not None
+    assert (renaming_key(a) == renaming_key(b)) == both_ways
+
+
+def test_renaming_key_separates_repeated_variables():
+    x, y, a, b = Var("x"), Var("y"), Var("a"), Var("b")
+    for s, t in [(App("f", (x, x)), App("f", (a, b))),
+                 (App("f", (x, y)), App("f", (a, b))),
+                 (App("f", (x, x)), App("f", (a, a))),
+                 (App("f", (x, y)), App("f", (y, x))),
+                 (App("f", (x, App("0"))), App("f", (App("0"), x)))]:
+        assert_key_agrees_with_renaming_match(s, t)
+        assert_key_agrees_with_renaming_match(t, s)
+    assert renaming_key(App("f", (x, x))) != renaming_key(App("f", (a, b)))
+
+
+@given(st.integers(0, 10**9))
+def test_renaming_key_agrees_with_renaming_match(seed):
+    rng = random.Random(seed)
+    symbols = {**CTORS, "f": 2}
+    a = random_small_term(rng.randint(1, 4), rng, symbols, ["x", "y", "z"], 0.4)
+    names = term_vars(a)
+    pick = rng.randrange(4)
+    if pick == 0:  # an injective renaming
+        b = substitute(a, dict(zip(names, map(Var, rng.sample(["x", "y", "z", "a", "b"],
+                                                               len(names))))))
+    elif pick == 1:  # any variable-to-variable map, which may merge variables
+        b = substitute(a, {v: Var(rng.choice(["x", "y", "a"])) for v in names})
+    elif pick == 2:  # a variable instantiated
+        b = substitute(a, {v: random_small_term(2, rng, symbols, ["x", "a"])
+                           for v in names[:1]})
+    else:
+        b = random_small_term(rng.randint(1, 4), rng, symbols, ["x", "y", "a"], 0.4)
+    assert_key_agrees_with_renaming_match(a, b)
+    assert_key_agrees_with_renaming_match(b, a)

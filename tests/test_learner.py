@@ -1,6 +1,10 @@
 """Unit tests for scheme construction, example derivation and the learner."""
 
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwlearn import InduceConfig, induce, learner
 from rwlearn.learner import (
@@ -13,9 +17,19 @@ from rwlearn.learner import (
     split_by_constructor,
 )
 from rwlearn.rewrite import covers, covers_all
-from rwlearn.terms import App, Signature, Var
+from rwlearn.terms import App, Signature, Var, subterms
 
-from helpers import eq, list_env, load_problem, lst, nat, nat_env, run_file, tree_env
+from helpers import (
+    eq,
+    list_env,
+    load_problem,
+    lst,
+    nat,
+    nat_env,
+    random_term,
+    run_file,
+    tree_env,
+)
 
 
 def test_fresh_names_skip_reserved():
@@ -128,6 +142,80 @@ def test_canonical_example_set_identifies_renamed_sets():
     assert _canonical_example_set(a) == _canonical_example_set(b)
     assert detect_repetition({_canonical_example_set(a)}, b)
     assert not detect_repetition(frozenset(), b)
+
+
+def test_canonical_example_set_renames_each_equation_apart():
+    # example variables are quantified per equation: x need not be one variable across the set
+    a = [eq("f", (Var("x"),), Var("x")), eq("f", (Var("x"),), App("s", (Var("x"),)))]
+    b = [eq("g", (Var("y"),), Var("y")), eq("g", (Var("z"),), App("s", (Var("z"),)))]
+    assert _canonical_example_set(a) == _canonical_example_set(b)
+
+
+SEED_PROBLEMS = [
+    ("add.tl", {}), ("badd.tl", {}), ("dup.tl", {}), ("lgth.tl", {}), ("rev.tl", {}),
+    ("size.tl", {}), ("size.tl", {"depth": 2}), ("size.tl", {"depth": 3}), ("sq.tl", {}),
+    ("dup.tl", {"try_whole_set_lgg_first": True}), ("lgth.tl", {"try_whole_set_lgg_first": True}),
+]
+
+
+def random_small_problem(rng):
+    """(target, examples, env, signatures) of a random small add, lgth or size set."""
+    kind = rng.choice(["add", "lgth", "size"])
+    if kind == "add":
+        env, sig = nat_env(), Signature("add", ("nat", "nat"), "nat")
+        pairs = rng.sample([(m, n) for m in range(4) for n in range(4)], rng.randint(1, 8))
+        examples = [eq("add", (nat(m), nat(n)), nat(m + n)) for m, n in pairs]
+    elif kind == "lgth":
+        env, sig = list_env(), Signature("lgth", ("list",), "nat")
+        examples = [eq("lgth", (lst(*(Var(f"e{i}") if rng.random() < 0.5 else nat(i)
+                                      for i in range(n))),), nat(n))
+                    for n in rng.sample(range(5), rng.randint(1, 5))]
+    else:
+        env, sig = tree_env(), Signature("size", ("tree",), "nat")
+        trees = [random_term(env, "tree", rng.randint(1, 4), rng, {"nat": ["a", "b"]})
+                 for _ in range(rng.randint(1, 6))]
+        examples = [eq("size", (t,), nat(sum(isinstance(u, App) and u.head == "nd"
+                                             for u in subterms(t))))
+                    for t in trees]
+    return sig.name, examples, env, [sig]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_every_aux_example_set_is_smaller_than_its_parents(seed):
+    """Why the repetition check cannot fire, whatever equivalence it uses that keeps the count.
+
+    An auxiliary set has at most one equation per member of the split subset.
+    If that subset is the whole parent set, the member whose split argument
+    is smallest makes a recursive call on a still smaller argument, which no
+    example's lhs renames onto, so that member is underivable.  Either way
+    the child set is strictly smaller, and so cannot equal an ancestor's.
+    """
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        name, cfg = rng.choice(SEED_PROBLEMS)
+        problem = load_problem(name, **cfg)
+        args = (problem.target, problem.examples, problem.sort_env, problem.signatures,
+                problem.config)
+    else:
+        args = random_small_problem(rng)
+    sizes = []  # (parent set size, child set size) of every recursive _induce call
+    parents = []
+    inner = learner._induce
+
+    def recording_induce(ctx, fn, examples, *rest):
+        if parents:
+            sizes.append((parents[-1], len(examples)))
+        parents.append(len(examples))
+        try:
+            return inner(ctx, fn, examples, *rest)
+        finally:
+            parents.pop()
+
+    with mock.patch.object(learner, "_induce", recording_induce):
+        report = induce(*args)
+    assert all(child < parent for parent, child in sizes)
+    assert all(e.kind != "repetition" for e in report.trace)
 
 
 def test_induce_learns_direct_recursion():
