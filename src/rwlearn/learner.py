@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .antiunify import INF, generalize_examples
 from .rewrite import RewriteSystem, Rule, covers_all
@@ -90,9 +91,18 @@ class SchemeEquation:
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One trace line.  An event that lists examples keeps them, after the
+    text in `label`, and renders `text` on first read: most traces are never
+    printed."""
+
     level: int
     kind: str
-    text: str
+    label: str
+    examples: tuple | None = None
+
+    @cached_property
+    def text(self) -> str:
+        return self.label if self.examples is None else self.label + _render_eqs(self.examples)
 
 
 @dataclass(frozen=True)
@@ -243,11 +253,8 @@ def _canonical_example_set(examples) -> frozenset:
                              for ex in examples).items())
 
 
-def detect_repetition(history, current) -> bool:
-    """True iff the current example set equals an ancestor's, up to renaming."""
-    if not history:
-        return False
-    key = _canonical_example_set(current)
+def detect_repetition(history, key) -> bool:
+    """True iff an ancestor's example set has the canonical key of the current one."""
     return key in history
 
 
@@ -264,8 +271,8 @@ class _Ctx:
         self.aux_count = 0
         self.capped = False  # a recursion-depth or auxiliary-function cap fired
 
-    def emit(self, level, kind, text):
-        self.trace.append(TraceEvent(level, kind, text))
+    def emit(self, level, kind, text, examples=None):
+        self.trace.append(TraceEvent(level, kind, text, examples))
 
     @contextmanager
     def bracket(self, level, kind, text):
@@ -338,10 +345,11 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
             ctx.capped = True
             ctx.emit(level + 1, "cap", f"recursion depth cap {cfg.max_recursion_depth} exceeded")
             return None, [], None
-        if detect_repetition(history, examples):
+        key = _canonical_example_set(examples)
+        if detect_repetition(history, key):
             ctx.emit(level + 1, "repetition", "repeated example set, aborting branch")
             return None, [], None
-        history = history | {_canonical_example_set(examples)}
+        history = history | {key}
         sig = sig_map[fn]
 
         if cfg.try_whole_set_lgg_first:
@@ -365,8 +373,8 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
                 with ctx.bracket(level + 1, "inducePos",
                                  f"inducePos({fn},{position + 1},{alt.render()})"):
                     subset = split_by_constructor(examples, position, alt)
-                    ctx.emit(level + 2, "matching-examples",
-                             f"matching examples: {_render_eqs(subset)}")
+                    ctx.emit(level + 2, "matching-examples", "matching examples: ",
+                             tuple(subset))
                     if not subset:
                         ctx.emit(level + 2, "no-examples", "no examples")
                         continue
@@ -418,5 +426,5 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
             if ok and not abandoned:
                 ctx.emit(level + 1, "covered", "all examples covered")
                 return rules + aux_rules, aux_sigs, uncovered
-            ctx.emit(level + 1, "uncovered", f"uncovered examples: {_render_eqs(uncovered)}")
+            ctx.emit(level + 1, "uncovered", "uncovered examples: ", tuple(uncovered))
         return None, [], uncovered

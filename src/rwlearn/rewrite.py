@@ -97,7 +97,8 @@ class RewriteSystem:
         return self._by_head.get(name, ())
 
 
-def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000):
+def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=None,
+                   normal_args: bool = False):
     """Normal form of t together with the number of rewrite steps taken.
 
     Call by value over an explicit stack: the arguments of an App are
@@ -105,51 +106,86 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000):
     first rule that matches and the contractum is normalised in turn.  This
     contracts the leftmost-innermost redex at every step without going back
     to the root, so a step costs the size of its rule, not of the term.
+    With normal_args the caller vouches that t's arguments are normal, and
+    they are not walked.
 
     Raises StuckTerm when a defined-symbol subterm with normal arguments
     matches no rule (it can never become reducible), and StepLimitExceeded
     on the step after the limit.
+
+    table, a dict owned by the caller, tables redexes across calls on the
+    same system: each redex contracted is recorded with its normal form, or
+    the stuck term it ends in, and the number of steps that took.  A redex
+    found there is not contracted again, but its steps are counted, so the
+    result, the step count and the exception are those of an untabled call.
+    A redex still open when StepLimitExceeded fires is not recorded.
     """
     if isinstance(t, Var):
         return t, 0
     defined = sys.sig_by_name
     steps = 0
     # One frame per App being normalised: the App, a shape whose Var
-    # positions mark the arguments already known to be normal, and the normal
-    # forms of the arguments done so far.  A contractum's shape is its rule's
-    # rhs: the images of the rhs variables are parts of normal arguments.
-    frames = [(t, t.args, [])]
+    # positions mark the arguments already known to be normal, the normal
+    # forms of the arguments done so far, and, when tabling, the redexes that
+    # reduce to this App's normal form, each with the step count before its
+    # contraction.  A contractum's shape is its rule's rhs: the images of the
+    # rhs variables are parts of normal arguments.
+    frames = [(t, (), list(t.args), None) if normal_args else (t, t.args, [], None)]
     while True:
-        term, shape, done = frames[-1]
+        term, shape, done, opened = frames[-1]
         i = len(done)
         if i < len(shape):
             arg = term.args[i]
             if isinstance(shape[i], Var):
                 done.append(arg)
             else:
-                frames.append((arg, shape[i].args, []))
+                frames.append((arg, shape[i].args, [], None))
             continue
         frames.pop()
         if any(map(is_not, done, term.args)):
             term = App(term.head, tuple(done))
         if term.head in defined:
-            for rule in sys.rules_for(term.head):
-                binding = match_pattern(rule.lhs, term)
-                if binding is not None:
-                    break
+            known = None if table is None else table.get(term)
+            if known is None:
+                for rule in sys.rules_for(term.head):
+                    binding = match_pattern(rule.lhs, term)
+                    if binding is not None:
+                        break
+                else:
+                    raise _stuck(term, steps, table, frames, [*(opened or ()), (term, steps)])
+                if table is not None:
+                    opened = [] if opened is None else opened
+                    opened.append((term, steps))
+                contractum = substitute(rule.rhs, binding)
+                steps += 1
+                if steps > step_limit:
+                    raise StepLimitExceeded(step_limit)
+                if isinstance(rule.rhs, App):
+                    frames.append((contractum, rule.rhs.args, [], opened))
+                    continue
+                term = contractum
             else:
-                raise StuckTerm(term)
-            contractum = substitute(rule.rhs, binding)
-            steps += 1
-            if steps > step_limit:
-                raise StepLimitExceeded(step_limit)
-            if isinstance(rule.rhs, App):
-                frames.append((contractum, rule.rhs.args, []))
-                continue
-            term = contractum
+                term, taken, stuck = known
+                steps += taken
+                if steps > step_limit:
+                    raise StepLimitExceeded(step_limit)
+                if stuck:
+                    raise _stuck(term, steps, table, frames, opened)
+        if opened:
+            for redex, start in opened:
+                table[redex] = (term, steps - start, False)
         if not frames:
             return term, steps
         frames[-1][2].append(term)
+
+
+def _stuck(term: App, steps: int, table, frames, opened) -> StuckTerm:
+    """StuckTerm(term), after tabling every redex still open as stuck in term."""
+    if table is not None:
+        for pending in [opened, *(frame[3] for frame in frames)]:
+            for redex, start in pending or ():
+                table[redex] = (term, steps - start, True)
+    return StuckTerm(term)
 
 
 def evaluate(sys: RewriteSystem, t: Term, step_limit: int = 10000) -> Term:
@@ -157,19 +193,27 @@ def evaluate(sys: RewriteSystem, t: Term, step_limit: int = 10000) -> Term:
     return evaluate_steps(sys, t, step_limit)[0]
 
 
-def covers(sys: RewriteSystem, ex: IOEquation, step_limit: int = 10000) -> bool:
+def covers(sys: RewriteSystem, ex: IOEquation, step_limit: int = 10000, table=None) -> bool:
     """Whether evaluating the example lhs yields its rhs.
 
     Example variables are frozen as rigid atoms; evaluation failure (stuck
     subterm or step limit) counts as not covered, never as an exception.
+    table is passed on to evaluate_steps.
     """
     try:
-        return same_term(evaluate(sys, ex.lhs, step_limit), ex.rhs)
+        normal_form, _ = evaluate_steps(sys, ex.lhs, step_limit, table,
+                                        ex.arg_heads.isdisjoint(sys.sig_by_name))
     except EvalError:
         return False
+    return same_term(normal_form, ex.rhs)
 
 
 def covers_all(sys: RewriteSystem, examples, step_limit: int = 10000):
-    """(all covered?, list of uncovered examples)."""
-    uncovered = [ex for ex in examples if not covers(sys, ex, step_limit)]
+    """(all covered?, list of uncovered examples).
+
+    The examples share one table of redex normal forms, so work that one
+    example's evaluation shares with another's is done once.
+    """
+    table = {}
+    uncovered = [ex for ex in examples if not covers(sys, ex, step_limit, table)]
     return not uncovered, uncovered

@@ -9,6 +9,7 @@ pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class TermError(Exception):
@@ -47,13 +48,49 @@ class Var:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
 class App:
-    head: str
-    args: tuple = ()
+    """A symbol applied to a tuple of argument terms.
+
+    Treated as immutable: the hash is computed once, on first use, and
+    cached on the node.  Neither hashing nor `==` recurses, so terms of any
+    depth can be dict keys.
+    """
+
+    __slots__ = ("head", "args", "_hash")
+
+    def __init__(self, head: str, args: tuple = ()):
+        self.head = head
+        self.args = args
+        self._hash = None
 
     def __repr__(self):
         return f"App({self.head!r}, {self.args!r})" if self.args else f"App({self.head!r})"
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        return same_term(self, other)
+
+    def __hash__(self):
+        h = self._hash
+        return h if h is not None else _hash_app(self)
+
+
+def _hash_app(t: App) -> int:
+    """Hash t and every App below it that has no cached hash yet, children first."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        missing = [a for a in u.args if a.__class__ is App and a._hash is None]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        if u._hash is None:  # a shared node may have been pushed twice
+            u._hash = hash((u.head, u.args))
+    return t._hash
 
 
 Term = Var | App
@@ -87,7 +124,7 @@ def substitute(t: Term, subst: Substitution) -> Term:
 
 
 def same_term(a: Term, b: Term) -> bool:
-    """a == b, compared with an explicit stack instead of the recursive dataclass `==`."""
+    """Structural equality of two terms, with an explicit stack; this is `App.__eq__`."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
@@ -154,11 +191,30 @@ def renaming_key(t: Term) -> tuple:
 
 
 def render_term(t: Term) -> str:
+    """t as text, `head(arg,...)`; built with an explicit stack of terms and separators."""
     if isinstance(t, Var):
         return t.name
     if not t.args:
         return t.head
-    return f"{t.head}({','.join(render_term(a) for a in t.args)})"
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is str:
+            out.append(u)
+        elif u.__class__ is Var:
+            out.append(u.name)
+        elif u.args:
+            out.append(u.head + "(")
+            stack.append(")")
+            args = u.args
+            for a in args[:0:-1]:
+                stack.append(a)
+                stack.append(",")
+            stack.append(args[0])
+        else:
+            out.append(u.head)
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -258,9 +314,15 @@ class IOEquation:
     lhs_args: tuple
     rhs: Term
 
-    @property
+    @cached_property
     def lhs(self) -> App:
+        """Built once, so that its cached hash serves every coverage check."""
         return App(self.fn, self.lhs_args)
+
+    @cached_property
+    def arg_heads(self) -> frozenset:
+        """The symbols heading some subterm of the lhs arguments."""
+        return frozenset(u.head for a in self.lhs_args for u in subterms(a) if isinstance(u, App))
 
     def render(self) -> str:
         return f"{render_term(self.lhs)}={render_term(self.rhs)}"

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 import pathlib
+from operator import is_not
 
 from rwlearn import InduceConfig, induce, parse_problem
 from rwlearn.learner import _resolve_call
-from rwlearn.rewrite import StepLimitExceeded, StuckTerm
+from rwlearn.rewrite import EvalError, StepLimitExceeded, StuckTerm
 from rwlearn.terms import (
     App,
     ConstructorAlt,
@@ -16,6 +17,7 @@ from rwlearn.terms import (
     Var,
     match_pattern,
     renaming_match,
+    same_term,
     substitute,
     subterms,
     term_vars,
@@ -202,6 +204,61 @@ def restarting_evaluate_steps(system, t, step_limit: int = 10000):
         if steps > step_limit:
             raise StepLimitExceeded(step_limit)
         t = new
+
+
+def untabled_evaluate_steps(system, t, step_limit: int = 10000):
+    """Oracle for `rewrite.evaluate_steps` with a table: the explicit-stack loop without one.
+
+    Every redex is contracted where it occurs, and every argument is walked.
+    """
+    if isinstance(t, Var):
+        return t, 0
+    steps = 0
+    frames = [(t, t.args, [])]
+    while True:
+        term, shape, done = frames[-1]
+        i = len(done)
+        if i < len(shape):
+            arg = term.args[i]
+            if isinstance(shape[i], Var):
+                done.append(arg)
+            else:
+                frames.append((arg, shape[i].args, []))
+            continue
+        frames.pop()
+        if any(map(is_not, done, term.args)):
+            term = App(term.head, tuple(done))
+        if system.is_defined(term.head):
+            for rule in system.rules_for(term.head):
+                binding = match_pattern(rule.lhs, term)
+                if binding is not None:
+                    break
+            else:
+                raise StuckTerm(term)
+            contractum = substitute(rule.rhs, binding)
+            steps += 1
+            if steps > step_limit:
+                raise StepLimitExceeded(step_limit)
+            if isinstance(rule.rhs, App):
+                frames.append((contractum, rule.rhs.args, []))
+                continue
+            term = contractum
+        if not frames:
+            return term, steps
+        frames[-1][2].append(term)
+
+
+def untabled_covers_all(system, examples, step_limit: int = 10000):
+    """Oracle for `rewrite.covers_all`: each example evaluated on its own, from scratch."""
+    uncovered = []
+    for ex in examples:
+        try:
+            covered = same_term(untabled_evaluate_steps(system, ex.lhs, step_limit)[0], ex.rhs)
+        except EvalError:
+            covered = False
+        if not covered:
+            uncovered.append(ex)
+    return not uncovered, uncovered
 
 
 def scan_derive_aux_examples(scheme, all_examples, subset):

@@ -154,15 +154,17 @@ def test_non_integer_flag_exits_2_naming_the_flag(flag, expected):
     assert f"argument {flag}: {expected}\n" in err.getvalue()
 
 
-def test_deep_example_is_learned(tmp_path):
-    # 300-deep terms: evaluation and coverage must not depend on the recursion limit
+@pytest.mark.parametrize("depth, flags", [(300, ["--no-trace"]), (400, ["--no-trace"]),
+                                          (400, [])])
+def test_deep_example_is_learned(tmp_path, depth, flags):
+    # evaluation, coverage and trace text must not depend on the recursion limit
     text = (PROBLEMS / "add.tl").read_text()
     deep = tmp_path / "add.tl"
-    deep.write_text(text.replace(
-        "learn add", f"ex add({'s(' * 300}0{')' * 300}, s(0)) = {'s(' * 301}0{')' * 301} ;\n"
-                     "learn add"))
-    code, out, _ = run_main(str(deep), "--no-trace")
+    example = f"add({'s(' * depth}0{')' * depth},s(0))={'s(' * (depth + 1)}0{')' * (depth + 1)}"
+    deep.write_text(text.replace("learn add", f"ex {example} ;\nlearn add"))
+    code, out, err = run_main(str(deep), *flags)
     assert code == 0
+    assert (example in err) == (not flags)
     _, plain, _ = run_main(str(PROBLEMS / "add.tl"), "--no-trace")
     definitions = out[out.index("FUNCTION DEFINITIONS:"):]
     assert definitions == plain[plain.index("FUNCTION DEFINITIONS:"):]

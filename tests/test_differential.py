@@ -3,7 +3,10 @@
 `rewrite.evaluate_steps` must contract the same redexes in the same order as
 `restarting_evaluate_steps`, which searches for each redex from the root: the
 same normal form and step count, or the same exception with the same stuck
-term or limit.  `terms.match_pattern` must return the binding of
+term or limit.  With a table shared across calls it must give what the
+untabled loop `untabled_evaluate_steps` gives on each call alone, and
+`rewrite.covers_all` what `untabled_covers_all` gives, in the same order.
+`terms.match_pattern` must return the binding of
 `closure_match_pattern`, in the same key order.  `learner.derive_aux_examples`,
 which looks each recursive call up by renaming key, must return what
 `scan_derive_aux_examples` returns by trying every example, in the same order;
@@ -16,7 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwlearn.learner import FreshNames, build_scheme, derive_aux_examples, split_by_constructor
-from rwlearn.rewrite import RewriteSystem, Rule, StepLimitExceeded, StuckTerm, evaluate_steps
+from rwlearn.rewrite import (
+    RewriteSystem,
+    Rule,
+    StepLimitExceeded,
+    StuckTerm,
+    covers_all,
+    evaluate_steps,
+)
 from rwlearn.simplify import inline_single_rule_aux, prune_irrelevant_args
 from rwlearn.terms import (
     App,
@@ -28,6 +38,7 @@ from rwlearn.terms import (
     renaming_match,
     same_term,
     substitute,
+    subterms,
     term_vars,
 )
 
@@ -40,6 +51,8 @@ from helpers import (
     restarting_evaluate_steps,
     run_file,
     scan_derive_aux_examples,
+    untabled_covers_all,
+    untabled_evaluate_steps,
 )
 
 # the successful runs of scripts/run_all_problems.py: (file, config, inline)
@@ -160,6 +173,112 @@ def test_evaluators_agree_on_random_small_systems(seed):
         t = App(head, tuple(random_small_term(rng.randint(1, 3), rng, {**CTORS, **DEFINED},
                                               ["a", "b"], 0.1) for _ in range(DEFINED[head])))
         assert_same_outcome(system, t, rng.choice([0, 1, 5, 50, 200]))
+
+
+class CountingTable(dict):
+    """A table that counts its hits, normal forms and stuck terms apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = {False: 0, True: 0}
+
+    def get(self, key, default=None):
+        known = super().get(key, default)
+        if known is not None:
+            self.hits[known[2]] += 1
+        return known
+
+
+def has_defined_symbol(system, terms) -> bool:
+    return any(isinstance(u, App) and system.is_defined(u.head)
+               for t in terms for u in subterms(t))
+
+
+def assert_tabled_agrees(system, examples, step_limits):
+    """One shared table over the example lhs, in order, against fresh untabled calls;
+    then covers_all against its untabled oracle."""
+    table = {}
+    for ex, limit in zip(examples, step_limits):
+        normal_args = not has_defined_symbol(system, ex.lhs_args)
+        tabled = outcome(lambda *a: evaluate_steps(*a, table, normal_args), system, ex.lhs, limit)
+        assert tabled == outcome(untabled_evaluate_steps, system, ex.lhs, limit)
+    for limit in set(step_limits):
+        ok, uncovered = covers_all(system, examples, limit)
+        expected_ok, expected = untabled_covers_all(system, examples, limit)
+        assert ok == expected_ok
+        assert len(uncovered) == len(expected)
+        assert all(a is b for a, b in zip(uncovered, expected))
+
+
+def seed_system_draw(seed_systems, rng):
+    """A learned seed system, its examples in random order with random calls among
+    them, and a step limit per term."""
+    problem, system = rng.choice(seed_systems)
+    examples = list(problem.examples)
+    for _ in range(rng.randint(0, 5)):
+        sig = rng.choice(system.signatures)
+        examples.append(eq(sig.name, [random_call(system, problem.sort_env, d, rng.randint(1, 4),
+                                                  rng, ["a", "b"]) for d in sig.domain],
+                           random_term(problem.sort_env, sig.range, 3, rng)))
+    rng.shuffle(examples)
+    return system, examples, [rng.choice([0, 1, 2, 5, 20, 200]) for _ in examples]
+
+
+def small_system_draw(rng):
+    """A random small system, and terms over it that share subterms, each with an
+    expected rhs that is its normal form about half of the time."""
+    system = random_system(rng)
+    symbols = {**CTORS, **DEFINED}
+    pool = [random_small_term(rng.randint(1, 3), rng, CTORS, ["a", "b"], 0.1) for _ in range(3)]
+    examples = []
+    for _ in range(rng.randint(1, 8)):
+        head = rng.choice(list(DEFINED))
+        args = tuple(rng.choice(pool) if rng.random() < 0.5 else
+                     random_small_term(rng.randint(1, 3), rng, symbols, ["a", "b"], 0.1)
+                     for _ in range(DEFINED[head]))
+        rhs = random_small_term(2, rng, CTORS, ["a"], 0.1)
+        if rng.random() < 0.5:
+            try:
+                rhs = untabled_evaluate_steps(system, App(head, args), 200)[0]
+            except (StuckTerm, StepLimitExceeded):
+                pass
+        examples.append(eq(head, args, rhs))
+        pool.append(App(head, args))
+    return system, examples, [rng.randint(0, 200) for _ in examples]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_tabled_evaluation_agrees_with_untabled_on_learned_seed_systems(seed_systems, seed):
+    rng = random.Random(seed)
+    assert_tabled_agrees(*seed_system_draw(seed_systems, rng))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_tabled_evaluation_agrees_with_untabled_on_random_small_systems(seed):
+    rng = random.Random(seed)
+    assert_tabled_agrees(*small_system_draw(rng))
+
+
+def test_tabled_draws_reach_every_outcome(seed_systems):
+    # the two properties above are vacuous unless normal forms and stuck terms are
+    # found in the table, and the step limit fires after a hit
+    hits = {False: 0, True: 0}
+    limit_after_hit = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        system, examples, limits = (small_system_draw(rng) if seed % 2 else
+                                    seed_system_draw(seed_systems, rng))
+        table = CountingTable()
+        for ex, limit in zip(examples, limits):
+            before = sum(table.hits.values())
+            result = outcome(lambda *a: evaluate_steps(*a, table), system, ex.lhs, limit)
+            limit_after_hit += (result[0] is StepLimitExceeded
+                                and sum(table.hits.values()) > before)
+        for stuck in hits:
+            hits[stuck] += table.hits[stuck]
+    assert hits[False] and hits[True] and limit_after_hit
 
 
 @given(st.integers(0, 10**9))

@@ -140,8 +140,8 @@ def test_canonical_example_set_identifies_renamed_sets():
     a = [eq("f", (Var("x"),), nat(1)), eq("f", (nat(0),), nat(0))]
     b = [eq("g", (nat(0),), nat(0)), eq("g", (Var("z"),), nat(1))]
     assert _canonical_example_set(a) == _canonical_example_set(b)
-    assert detect_repetition({_canonical_example_set(a)}, b)
-    assert not detect_repetition(frozenset(), b)
+    assert detect_repetition({_canonical_example_set(a)}, _canonical_example_set(b))
+    assert not detect_repetition(frozenset(), _canonical_example_set(b))
 
 
 def test_canonical_example_set_renames_each_equation_apart():

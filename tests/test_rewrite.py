@@ -57,6 +57,23 @@ def test_evaluation_and_matching_do_not_recurse_on_deep_terms():
     assert match_pattern(App("f", (x, x)), App("f", (nat(n), nat(n + 1)))) is None
 
 
+def test_tabled_coverage_hashing_and_equality_do_not_recurse_on_deep_terms():
+    n = 10 * getrecursionlimit()
+    deep = nat(n)
+    assert deep == nat(n) and hash(deep) == hash(nat(n)) and deep != nat(n - 1)
+    assert {deep: 1}[nat(n)] == 1
+    # the second lhs is a redex met while evaluating the first: a table hit
+    first = eq("add", (nat(n), nat(1)), nat(n + 1))
+    second = eq("add", (nat(n - 1), nat(1)), nat(n))
+    wrong = eq("add", (nat(n - 1), nat(1)), nat(n + 1))
+    ok, uncovered = covers_all(add_system(), [first, second, wrong], step_limit=n + 1)
+    assert not ok and uncovered == [wrong]
+    table = {}
+    assert evaluate_steps(add_system(), first.lhs, n + 1, table)[1] == n + 1
+    out, steps = evaluate_steps(add_system(), second.lhs, n + 1, table)
+    assert steps == n and same_term(out, second.rhs)
+
+
 def test_evaluate_normal_form_is_fixed_point():
     assert evaluate(add_system(), nat(4)) == nat(4)
 
