@@ -77,6 +77,13 @@ class RewriteSystem:
     """Immutable ordered rule list plus the signatures of all defined symbols.
 
     Every rule must pass `rule_defect` against the declared names.
+
+    `index` maps each defined symbol to the rules that may match a term it
+    heads (first-argument indexing, generalised to the first position that
+    has a constructor in every rule of the symbol): `(position, {constructor:
+    rules})`, or `(None, rules)` when no position has one.  Each list keeps
+    rule order.  Rules in different buckets cannot match the same term, so
+    trying a term's bucket first to last finds the rule a scan finds.
     """
 
     def __init__(self, rules, signatures):
@@ -89,6 +96,7 @@ class RewriteSystem:
             if defect is not None:
                 raise RuleError(defect)
             self._by_head.setdefault(rule.lhs.head, []).append(rule)
+        self.index = {name: _index_rules(self.rules_for(name)) for name in self.sig_by_name}
 
     def is_defined(self, name: str) -> bool:
         return name in self.sig_by_name
@@ -97,15 +105,28 @@ class RewriteSystem:
         return self._by_head.get(name, ())
 
 
+def _index_rules(rules) -> tuple:
+    """`RewriteSystem.index` entry of one symbol's rules."""
+    arity = min((len(rule.lhs.args) for rule in rules), default=0)
+    for i in range(arity):
+        if all(rule.lhs.args[i].__class__ is App for rule in rules):
+            buckets: dict[str, list[Rule]] = {}
+            for rule in rules:
+                buckets.setdefault(rule.lhs.args[i].head, []).append(rule)
+            return i, buckets
+    return None, rules
+
+
 def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=None,
                    normal_args: bool = False):
     """Normal form of t together with the number of rewrite steps taken.
 
     Call by value over an explicit stack: the arguments of an App are
     normalised left to right, then a defined root is contracted with the
-    first rule that matches and the contractum is normalised in turn.  This
-    contracts the leftmost-innermost redex at every step without going back
-    to the root, so a step costs the size of its rule, not of the term.
+    first rule that matches, of those in its `RewriteSystem.index` bucket,
+    and the contractum is normalised in turn.  This contracts the
+    leftmost-innermost redex at every step without going back to the root,
+    so a step costs the size of its rule, not of the term.
     With normal_args the caller vouches that t's arguments are normal, and
     they are not walked.
 
@@ -122,7 +143,7 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     """
     if isinstance(t, Var):
         return t, 0
-    defined = sys.sig_by_name
+    index = sys.index
     steps = 0
     # One frame per App being normalised: the App, a shape whose Var
     # positions mark the arguments already known to be normal, the normal
@@ -136,7 +157,7 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
         i = len(done)
         if i < len(shape):
             arg = term.args[i]
-            if isinstance(shape[i], Var):
+            if shape[i].__class__ is Var:
                 done.append(arg)
             else:
                 frames.append((arg, shape[i].args, [], None))
@@ -144,10 +165,16 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
         frames.pop()
         if any(map(is_not, done, term.args)):
             term = App(term.head, tuple(done))
-        if term.head in defined:
+        entry = index.get(term.head)
+        if entry is not None:
             known = None if table is None else table.get(term)
             if known is None:
-                for rule in sys.rules_for(term.head):
+                position, rules = entry
+                if position is not None:
+                    # a variable there, or too few arguments, matches no rule
+                    key = term.args[position] if position < len(term.args) else None
+                    rules = rules.get(key.head, ()) if key.__class__ is App else ()
+                for rule in rules:
                     binding = match_pattern(rule.lhs, term)
                     if binding is not None:
                         break
@@ -160,7 +187,7 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
                 steps += 1
                 if steps > step_limit:
                     raise StepLimitExceeded(step_limit)
-                if isinstance(rule.rhs, App):
+                if rule.rhs.__class__ is App:
                     frames.append((contractum, rule.rhs.args, [], opened))
                     continue
                 term = contractum

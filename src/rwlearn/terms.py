@@ -116,11 +116,37 @@ def subterms(t: Term):
 
 
 def substitute(t: Term, subst: Substitution) -> Term:
-    if isinstance(t, Var):
+    """t with each variable in subst replaced by its image, built with an explicit stack.
+
+    A variable at the root gives its image, or itself when unmapped, and a
+    constant gives itself; every App with arguments is built anew.  Variable
+    and constant arguments are handled in place: only an argument with
+    arguments of its own opens a frame (its head, the iterator over its
+    arguments, the images so far).
+    """
+    if t.__class__ is Var:
         return subst.get(t.name, t)
     if not t.args:
         return t
-    return App(t.head, tuple(substitute(a, subst) for a in t.args))
+    get = subst.get
+    stack = []
+    head, args, out = t.head, iter(t.args), []
+    while True:
+        for a in args:
+            if a.__class__ is Var:
+                out.append(get(a.name, a))
+            elif a.args:
+                stack.append((head, args, out))
+                head, args, out = a.head, iter(a.args), []
+                break
+            else:
+                out.append(a)
+        else:
+            built = App(head, tuple(out))
+            if not stack:
+                return built
+            head, args, out = stack.pop()
+            out.append(built)
 
 
 def same_term(a: Term, b: Term) -> bool:
@@ -146,23 +172,40 @@ def match_pattern(pattern: Term, subject: Term) -> Substitution | None:
     Subject variables are rigid atoms: they are matched only by an identical
     variable or by a pattern variable.  Returns None if no match exists.
     Variables are bound in pre-order of their first occurrence in pattern.
+
+    One loop over pairs of argument tuples: a variable argument is bound, or
+    compared with its earlier image, in place, and so is a constant; only a
+    pattern argument with arguments of its own opens a frame (the two
+    argument tuples and the next index).  The rest of the parent's tuple
+    waits on the stack, so bindings stay in pre-order.
     """
+    if pattern.__class__ is Var:
+        return {pattern.name: subject}
+    if subject.__class__ is Var or pattern.head != subject.head \
+            or len(pattern.args) != len(subject.args):
+        return None
     binding: Substitution = {}
-    stack = [(pattern, subject)]
-    while stack:
-        p, s = stack.pop()
-        if isinstance(p, Var):
-            bound = binding.get(p.name)
-            if bound is None:
-                binding[p.name] = s
-            elif not same_term(bound, s):
+    stack = []
+    ps, ss, i = pattern.args, subject.args, 0
+    while True:
+        while i < len(ps):
+            p = ps[i]
+            s = ss[i]
+            i += 1
+            if p.__class__ is Var:
+                bound = binding.get(p.name)
+                if bound is None:
+                    binding[p.name] = s
+                elif bound is not s and not same_term(bound, s):
+                    return None
+            elif s.__class__ is Var or p.head != s.head or len(p.args) != len(s.args):
                 return None
-        elif isinstance(s, Var) or p.head != s.head or len(p.args) != len(s.args):
-            return None
-        elif p.args:
-            # reversed, so that the leftmost argument pair is popped first
-            stack.extend(zip(reversed(p.args), reversed(s.args)))
-    return binding
+            elif p.args:
+                stack.append((ps, ss, i))
+                ps, ss, i = p.args, s.args, 0
+        if not stack:
+            return binding
+        ps, ss, i = stack.pop()
 
 
 def renaming_match(t1: Term, t2: Term) -> Substitution | None:
@@ -182,11 +225,14 @@ def renaming_key(t: Term) -> tuple:
     """
     numbers: dict[str, int] = {}
     key = []
-    for u in subterms(t):
-        if isinstance(u, Var):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Var:
             key.append(numbers.setdefault(u.name, len(numbers)))
         else:
             key += (u.head, len(u.args))
+            stack += u.args[::-1]
     return tuple(key)
 
 

@@ -176,6 +176,15 @@ def closure_match_pattern(pattern, subject):
     return binding if walk(pattern, subject) else None
 
 
+def closure_substitute(t, subst):
+    """Oracle for `terms.substitute`: the same instance, by a recursive walk."""
+    if isinstance(t, Var):
+        return subst.get(t.name, t)
+    if not t.args:
+        return t
+    return App(t.head, tuple(closure_substitute(a, subst) for a in t.args))
+
+
 def _rewrite_innermost(system, t):
     """One leftmost-innermost step from the root; the new term, or None when t is normal."""
     if isinstance(t, Var):
@@ -188,13 +197,17 @@ def _rewrite_innermost(system, t):
         for rule in system.rules_for(t.head):
             binding = closure_match_pattern(rule.lhs, t)
             if binding is not None:
-                return substitute(rule.rhs, binding)
+                return closure_substitute(rule.rhs, binding)
         raise StuckTerm(t)
     return None
 
 
 def restarting_evaluate_steps(system, t, step_limit: int = 10000):
-    """Oracle for `rewrite.evaluate_steps`: every step searches for its redex from the root."""
+    """Oracle for `rewrite.evaluate_steps`: every step searches for its redex from the root.
+
+    The redex head's rules are scanned in order, and matched and instantiated by
+    the recursive oracles above, not by the kernels under test.
+    """
     steps = 0
     while True:
         new = _rewrite_innermost(system, t)

@@ -1,13 +1,16 @@
 """The explicit-stack evaluator, the matcher and the call lookup against the oracles in helpers.
 
-`rewrite.evaluate_steps` must contract the same redexes in the same order as
-`restarting_evaluate_steps`, which searches for each redex from the root: the
+`rewrite.evaluate_steps`, which tries only the rules of a redex's
+constructor-index bucket, must contract the same redexes in the same order as
+`restarting_evaluate_steps`, which searches for each redex from the root and
+scans all rules of its head with the recursive matcher and instantiator: the
 same normal form and step count, or the same exception with the same stuck
 term or limit.  With a table shared across calls it must give what the
 untabled loop `untabled_evaluate_steps` gives on each call alone, and
 `rewrite.covers_all` what `untabled_covers_all` gives, in the same order.
-`terms.match_pattern` must return the binding of
-`closure_match_pattern`, in the same key order.  `learner.derive_aux_examples`,
+`terms.match_pattern` must return the binding of `closure_match_pattern`, in
+the same key order, and `terms.substitute` the instance that
+`closure_substitute` builds.  `learner.derive_aux_examples`,
 which looks each recursive call up by renaming key, must return what
 `scan_derive_aux_examples` returns by trying every example, in the same order;
 `terms.renaming_key` must agree with `terms.renaming_match`.
@@ -44,6 +47,7 @@ from rwlearn.terms import (
 
 from helpers import (
     closure_match_pattern,
+    closure_substitute,
     eq,
     list_env,
     nat_env,
@@ -175,6 +179,22 @@ def test_evaluators_agree_on_random_small_systems(seed):
         assert_same_outcome(system, t, rng.choice([0, 1, 5, 50, 200]))
 
 
+def test_random_systems_reach_every_index_shape():
+    # the property above checks the constructor index only if the draws give heads
+    # indexed at the first and at a later position, heads with rules that no
+    # position indexes, and buckets that hold several rules
+    shapes = {"first": 0, "later": 0, "unindexed": 0, "shared bucket": 0}
+    for seed in range(300):
+        system = random_system(random.Random(seed))
+        for head, (position, rules) in system.index.items():
+            if position is None:
+                shapes["unindexed"] += DEFINED[head] > 0 and bool(rules)
+            else:
+                shapes["first" if position == 0 else "later"] += 1
+                shapes["shared bucket"] += any(len(bucket) > 1 for bucket in rules.values())
+    assert all(shapes.values()), shapes
+
+
 class CountingTable(dict):
     """A table that counts its hits, normal forms and stuck terms apart."""
 
@@ -284,15 +304,24 @@ def test_tabled_draws_reach_every_outcome(seed_systems):
 @given(st.integers(0, 10**9))
 def test_match_pattern_agrees_with_the_closure_matcher(seed):
     rng = random.Random(seed)
-    # a pool of three names makes non-linear patterns and shared subject names common
-    pattern = App("p", tuple(random_small_term(rng.randint(1, 3), rng, CTORS, ["x", "y", "z"],
-                                               0.5) for _ in range(2)))
-    if rng.random() < 0.5:
-        subst = {v: random_small_term(rng.randint(1, 3), rng, CTORS, ["x", "a"])
+    # a pool of three names makes non-linear patterns and shared subject names common;
+    # 1 and q share an arity with 0 and s, so heads must be compared, not only arities
+    symbols = {**CTORS, "1": 0, "q": 1}
+    if rng.random() < 0.2:
+        pattern = Var(rng.choice(["x", "y", "z"]))
+    else:
+        pattern = App("p", tuple(random_small_term(rng.randint(1, 3), rng, symbols,
+                                                   ["x", "y", "z"], 0.5) for _ in range(2)))
+    roll = rng.random()
+    if roll < 0.5:
+        subst = {v: random_small_term(rng.randint(1, 3), rng, symbols, ["x", "a"])
                  for v in ("x", "y", "z")}
         subject = substitute(pattern, subst)
+    elif roll < 0.8:  # the pattern root's head, with its arity or another
+        subject = App("p", tuple(random_small_term(rng.randint(1, 3), rng, symbols, ["x", "a"])
+                                 for _ in range(rng.choice([0, 1, 2, 2, 3]))))
     else:
-        subject = random_small_term(rng.randint(1, 4), rng, CTORS, ["x", "a"])
+        subject = random_small_term(rng.randint(1, 4), rng, symbols, ["x", "a"])
     expected = closure_match_pattern(pattern, subject)
     binding = match_pattern(pattern, subject)
     assert binding == expected
@@ -300,6 +329,21 @@ def test_match_pattern_agrees_with_the_closure_matcher(seed):
         assert list(binding) == list(expected)
     assert same_term(pattern, subject) == (pattern == subject)
     assert same_term(subject, substitute(subject, {}))  # an equal copy, not the same object
+
+
+@given(st.integers(0, 10**9))
+def test_substitute_agrees_with_the_closure_substitute(seed):
+    rng = random.Random(seed)
+    symbols = {**CTORS, "f": 2}
+    t = random_small_term(rng.randint(1, 4), rng, symbols, ["x", "y", "z"], 0.4)
+    # a partial map, so that some variables stay; images may be variables or constants
+    subst = {v: random_small_term(rng.randint(1, 3), rng, symbols, ["x", "a"], 0.3)
+             for v in rng.sample(["x", "y", "z"], rng.randint(0, 3))}
+    expected = closure_substitute(t, subst)
+    out = substitute(t, subst)
+    assert out == expected
+    if isinstance(t, Var) or not t.args:  # a variable or constant root is not rebuilt
+        assert out is expected
 
 
 def random_example_set(rng):

@@ -16,9 +16,9 @@ from rwlearn.rewrite import (
     evaluate_steps,
     rule_defect,
 )
-from rwlearn.terms import App, Signature, Var, match_pattern, same_term
+from rwlearn.terms import App, Signature, Var, match_pattern, same_term, substitute
 
-from helpers import eq, lst, nat
+from helpers import eq, lst, nat, restarting_evaluate_steps
 
 
 def add_system() -> RewriteSystem:
@@ -55,6 +55,15 @@ def test_evaluation_and_matching_do_not_recurse_on_deep_terms():
     # a non-linear pattern compares the two deep images
     assert match_pattern(App("f", (x, x)), App("f", (nat(n), nat(n)))) is not None
     assert match_pattern(App("f", (x, x)), App("f", (nat(n), nat(n + 1)))) is None
+
+
+def test_substitute_does_not_recurse_on_deep_terms():
+    n = 10 * getrecursionlimit()
+    deep_pattern = Var("x")
+    for _ in range(n):
+        deep_pattern = App("s", (deep_pattern,))
+    assert same_term(substitute(deep_pattern, {"x": nat(2)}), nat(n + 2))
+    assert same_term(substitute(deep_pattern, {}), deep_pattern)
 
 
 def test_tabled_coverage_hashing_and_equality_do_not_recurse_on_deep_terms():
@@ -99,16 +108,50 @@ def test_step_limit_exceeded():
 
 
 def test_rule_order_decides_overlaps():
+    zero, other = Rule(App("f", (App("0"),)), nat(1)), Rule(App("f", (Var("x"),)), nat(2))
+    sigs = [Signature("f", ("nat",), "nat")]
+    sys = RewriteSystem([zero, other], sigs)
+    assert sys.index["f"][0] is None  # no position has a constructor in every rule
+    assert evaluate(sys, App("f", (nat(0),))) == nat(1)
+    assert evaluate(sys, App("f", (nat(3),))) == nat(2)
+    assert evaluate(RewriteSystem([other, zero], sigs), App("f", (nat(0),))) == nat(2)
+
+
+def test_earlier_rule_in_an_index_bucket_wins():
     x = Var("x")
     sys = RewriteSystem(
         [
-            Rule(App("f", (App("0"),)), nat(1)),
-            Rule(App("f", (x,)), nat(2)),
+            Rule(App("f", (App("s", (x,)),)), App("a")),
+            Rule(App("f", (nat(1),)), App("b")),
+            Rule(App("f", (App("0"),)), App("c")),
         ],
         [Signature("f", ("nat",), "nat")],
     )
-    assert evaluate(sys, App("f", (nat(0),))) == nat(1)
-    assert evaluate(sys, App("f", (nat(3),))) == nat(2)
+    position, buckets = sys.index["f"]
+    assert position == 0 and [len(b) for b in buckets.values()] == [2, 1]
+    assert evaluate(sys, App("f", (nat(1),))) == App("a")
+    assert evaluate(sys, App("f", (nat(0),))) == App("c")
+
+
+def test_variable_at_the_index_position_is_stuck_as_in_a_scan():
+    # f is indexed at its second argument, where every rule has a constructor
+    x = Var("x")
+    sys = RewriteSystem(
+        [
+            Rule(App("f", (x, App("0"))), x),
+            Rule(App("f", (x, App("s", (App("0"),)))), App("0")),
+        ],
+        [Signature("f", ("nat", "nat"), "nat")],
+    )
+    assert sys.index["f"][0] == 1
+    for arg in (Var("a"), nat(2)):
+        term = App("f", (nat(1), arg))
+        with pytest.raises(StuckTerm) as info:
+            evaluate(sys, term)
+        with pytest.raises(StuckTerm) as scanned:
+            restarting_evaluate_steps(sys, term)
+        assert info.value.term == scanned.value.term == term
+    assert evaluate(sys, App("f", (nat(1), nat(0)))) == nat(1)
 
 
 def test_innermost_arguments_evaluated_first():

@@ -52,6 +52,13 @@ def test_match_pattern_basic():
     assert match_pattern(pattern, subject) == {"x": nat(0), "y": nat(2)}
 
 
+def test_match_pattern_compares_heads_of_equal_arity():
+    x = Var("x")
+    assert match_pattern(App("f", (App("0"), x)), App("f", (App("nil"), nat(1)))) is None
+    assert match_pattern(App("f", (App("s", (x,)),)), App("f", (App("q", (nat(0),)),))) is None
+    assert match_pattern(App("f", (x,)), App("g", (nat(0),))) is None
+
+
 def test_match_pattern_subject_variables_are_rigid():
     # a constructor pattern never matches a variable subject
     assert match_pattern(App("s", (Var("x"),)), Var("z")) is None
