@@ -8,8 +8,9 @@ failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .antiunify import INF
 from .dsl import ParseError, Problem, parse_problem
@@ -25,15 +26,63 @@ def emit_trace(events) -> str:
 
 
 def term_to_json(t: Term):
-    if isinstance(t, Var):
+    """t as nested `{"var": name}` and `{"app": head, "args": [...]}` dicts.
+
+    Built from the root down with an explicit stack, as `terms.substitute`
+    walks a term: variable and constant arguments are written in place; an
+    argument with arguments of its own opens a frame (the iterator over its
+    arguments and the list that takes their documents).
+    """
+    if t.__class__ is Var:
         return {"var": t.name}
-    return {"app": t.head, "args": [term_to_json(a) for a in t.args]}
+    docs = []
+    root = {"app": t.head, "args": docs}
+    stack = []
+    args = iter(t.args)
+    while True:
+        for a in args:
+            if a.__class__ is Var:
+                docs.append({"var": a.name})
+            elif a.args:
+                sub = []
+                docs.append({"app": a.head, "args": sub})
+                stack.append((args, docs))
+                args, docs = iter(a.args), sub
+                break
+            else:
+                docs.append({"app": a.head, "args": []})
+        else:
+            if not stack:
+                return root
+            args, docs = stack.pop()
 
 
 def term_from_json(doc) -> Term:
+    """The term of a `term_to_json` document, built with an explicit stack.
+
+    A frame is an application being built: its head, the iterator over its
+    argument documents and the terms built for them so far.
+    """
     if "var" in doc:
         return Var(doc["var"])
-    return App(doc["app"], tuple(term_from_json(a) for a in doc["args"]))
+    stack = []
+    head, docs, out = doc["app"], iter(doc["args"]), []
+    while True:
+        for d in docs:
+            if "var" in d:
+                out.append(Var(d["var"]))
+            elif d["args"]:
+                stack.append((head, docs, out))
+                head, docs, out = d["app"], iter(d["args"]), []
+                break
+            else:
+                out.append(App(d["app"]))
+        else:
+            built = App(head, tuple(out))
+            if not stack:
+                return built
+            head, docs, out = stack.pop()
+            out.append(built)
 
 
 def export_json(report: InduceReport, problem: Problem | None = None,
@@ -155,9 +204,68 @@ def run_problem(problem: Problem, *, inline: bool = False, trace: bool = True,
 
 
 def _write_json(path: str, doc: dict):
+    text = _dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(doc) -> str:
+    """The text of `json.dumps(doc, indent=2)`, written with an explicit stack.
+
+    doc is made of dicts with string keys, lists, strings, ints, bools and
+    None.  The container being written is held in locals: the iterator over
+    its entries, whether it is a dict, the line break and indent of its
+    entries, the separator before the next entry and its closing text.  A
+    scalar entry is written in place; a non-empty container entry saves them
+    on the stack and takes their place.
+    """
+    scalar = _SCALAR_JSON.get
+    out = []
+    stack = []
+    entries, is_dict, inner, sep, close = iter((doc,)), False, "\n", "", ""
+    while True:
+        for entry in entries:
+            if is_dict:
+                key, value = entry
+                label = sep + encode_basestring_ascii(key) + ": "
+            else:
+                value = entry
+                label = sep
+            sep = "," + inner
+            encode = scalar(value.__class__)
+            if encode is not None:
+                out.append(label + encode(value))
+                continue
+            if value.__class__ is dict:
+                opening, closing, values = "{", "}", value.items()
+            elif value.__class__ is list:
+                opening, closing, values = "[", "]", value
+            else:
+                raise TypeError(f"Object of type {value.__class__.__name__} "
+                                f"is not JSON serializable")
+            if not values:
+                out.append(label + opening + closing)
+                continue
+            out.append(label + opening)
+            stack.append((entries, is_dict, inner, sep, close))
+            close = inner + closing
+            entries, is_dict = iter(values), opening == "{"
+            inner += "  "
+            sep = inner
+            break
+        else:
+            out.append(close)
+            if not stack:
+                return "".join(out)
+            entries, is_dict, inner, sep, close = stack.pop()
 
 
 def _parse_depth(text: str):
@@ -182,7 +290,9 @@ def _parse_cap(text: str) -> int:
     return value
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `main` call of a process."""
     parser = argparse.ArgumentParser(
         prog="rwlearn",
         description="Learn a terminating rewrite definition from i/o equations.")
@@ -202,10 +312,18 @@ def main(argv=None) -> int:
                         help="cap on auxiliary recursion layers")
     parser.add_argument("--whole-set-lgg", action="store_true",
                         help="try anti-unifying the whole example set before splitting")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _arg_parser().parse_args(argv)
 
     try:
-        text = sys.stdin.read() if args.file == "-" else open(args.file, encoding="utf-8").read()
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

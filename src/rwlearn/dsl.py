@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 from .learner import InduceConfig
 from .terms import (
@@ -39,6 +40,11 @@ class ParseError(Exception):
         self.line = line
         self.column = column
 
+    @classmethod
+    def at(cls, message: str, text: str, offset: int) -> ParseError:
+        """The error for the character at offset in text; lines and columns count from 1."""
+        return cls(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
 
 @dataclass
 class Problem:
@@ -54,75 +60,83 @@ class Problem:
         return next(s for s in self.signatures if s.name == self.target)
 
 
-_TOKEN = re.compile(r"[A-Za-z0-9_]+|->|[(),;:|=]|#[^\n]*|\s+|.")
+# One match per token: the whitespace and comments before it, then the token,
+# the end of the text, or a stray character.  Some alternative matches after
+# any skipped text, so the skip never gives characters back.
+_TOKEN = re.compile(r"((?:\s|#[^\n]*)*)(?:([A-Za-z0-9_]+|->|[(),;:|=]|\Z)|(.))")
+_PUNCTUATION = frozenset(("(", ")", ",", ";", ":", "|", "=", "->"))
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    column: int
+def _tokenize(text: str) -> tuple:
+    """The tokens of text followed by None, and the offset of each token, from one scan.
 
-
-def _tokenize(text: str) -> list:
-    toks = []
-    line, col = 1, 1
-    for m in _TOKEN.finditer(text):
-        s = m.group()
-        if not s.isspace() and not s.startswith("#"):
-            if not (s == "->" or s in "(),;:|=" or re.fullmatch(r"[A-Za-z0-9_]+", s)):
-                raise ParseError(f"unexpected character {s!r}", line, col)
-            toks.append(_Tok(s, line, col))
-        newlines = s.count("\n")
-        if newlines:
-            line += newlines
-            col = len(s) - s.rfind("\n")
-        else:
-            col += len(s)
-    return toks
+    A match with an empty token is the end or a stray character, and the
+    first one ends the tokens; each offset is the length of the text
+    skipped and matched before it.
+    """
+    skipped, toks, strays = zip(*_TOKEN.findall(text))
+    offsets = list(accumulate(map(len, chain.from_iterable(zip(skipped, toks)))))[::2]
+    end = toks.index("")
+    if strays[end]:
+        raise ParseError.at(f"unexpected character {strays[end]!r}", text, offsets[end])
+    return [*toks[:end], None], offsets
 
 
 class _Parser:
+    """Reads the tokens in order; `toks[pos]` is the next one, None at the end."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks, self.offsets = _tokenize(text)
         self.pos = 0
 
     def error(self, message: str):
-        if self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            raise ParseError(message, t.line, t.column)
+        if self.toks[self.pos] is not None:
+            raise ParseError.at(message, self.text, self.offsets[self.pos])
         raise ParseError(message + " (at end of input)", 0, 0)
 
     def peek(self) -> str | None:
-        return self.toks[self.pos].text if self.pos < len(self.toks) else None
+        return self.toks[self.pos]
 
-    def take(self, expected: str | None = None) -> str:
-        if self.pos >= len(self.toks):
-            self.error(f"expected {expected or 'more input'}")
+    def take(self, expected: str):
         tok = self.toks[self.pos]
-        if expected is not None and tok.text != expected:
-            self.error(f"expected {expected!r}, found {tok.text!r}")
+        if tok != expected:
+            if tok is None:
+                self.error(f"expected {expected}")
+            self.error(f"expected {expected!r}, found {tok!r}")
         self.pos += 1
-        return tok.text
 
     def ident(self) -> str:
-        tok = self.peek()
-        if tok is None or not re.fullmatch(r"[A-Za-z0-9_]+", tok):
+        """The next token, which must not be punctuation."""
+        tok = self.toks[self.pos]
+        if tok is None or tok in _PUNCTUATION:
             self.error("expected an identifier")
-        return self.take()
+        self.pos += 1
+        return tok
 
-    # raw terms: heads not yet classified as constructor/function/variable
-    def term(self):
-        head = self.ident()
-        if self.peek() != "(":
-            return (head, ())
-        self.take("(")
-        args = [self.term()]
-        while self.peek() == ",":
-            self.take(",")
-            args.append(self.term())
-        self.take(")")
-        return (head, tuple(args))
+    def term(self) -> list:
+        """A raw term: its [head, arity] nodes in pre-order, heads not yet
+        classified as constructor, function or variable."""
+        toks = self.toks
+        nodes = []
+        open_nodes = []  # the applications whose argument lists are not closed
+        while True:
+            node = [self.ident(), 0]
+            nodes.append(node)
+            if toks[self.pos] == "(":
+                self.pos += 1
+                node[1] = 1
+                open_nodes.append(node)
+                continue
+            while open_nodes:
+                if toks[self.pos] == ",":
+                    self.pos += 1
+                    open_nodes[-1][1] += 1
+                    break
+                self.take(")")
+                open_nodes.pop()
+            else:
+                return nodes
 
 
 def parse_problem(text: str) -> Problem:
@@ -133,7 +147,7 @@ def parse_problem(text: str) -> Problem:
     raw_examples: list = []
     target = None
     while p.peek() is not None:
-        at = p.toks[p.pos]
+        at = p.offsets[p.pos]
         kw = p.ident()
         if kw == "sort":
             name = p.ident()
@@ -189,12 +203,12 @@ def parse_problem(text: str) -> Problem:
 
     examples = []
     for _, lhs_raw, rhs_raw in raw_examples:
-        head, args = lhs_raw
+        head = lhs_raw[0][0]
         if head != target:
             raise ParseError(f"example for {head}, but learn target is {target}", 0, 0)
         examples.append(IOEquation(target,
-                                   tuple(_resolve(a, env, sigs, allow_fns=False) for a in args),
-                                   _resolve(rhs_raw, env, sigs, allow_fns=False)))
+                                   _resolve(lhs_raw[1:], env, sigs, allow_fns=False),
+                                   _resolve(rhs_raw, env, sigs, allow_fns=False)[0]))
     if not examples:
         raise ParseError("no examples given", 0, 0)
 
@@ -216,8 +230,8 @@ def parse_problem(text: str) -> Problem:
         lhs_vars = term_vars(ex.lhs)
         unbound = [v for v in term_vars(ex.rhs) if v not in lhs_vars]
         if unbound:
-            raise ParseError(f"example {i}: rhs variable {unbound[0]} does not occur on the lhs",
-                             at.line, at.column)
+            raise ParseError.at(f"example {i}: rhs variable {unbound[0]} does not occur on the lhs",
+                                text, at)
     return problem
 
 
@@ -240,20 +254,35 @@ def parse_term(text: str, env: SortEnv, fn_names=()) -> Term:
     raw = p.term()
     if p.peek() is not None:
         p.error("trailing input after term")
-    return _resolve(raw, env, set(fn_names), allow_fns=True)
+    return _resolve(raw, env, set(fn_names), allow_fns=True)[0]
 
 
-def _resolve(raw, env: SortEnv, fn_names, allow_fns: bool) -> Term:
-    """Classify the heads of a raw term: constructors and (when allowed) the
-    functions in fn_names head applications; other identifiers are variables."""
-    head, args = raw
-    if head in fn_names and not allow_fns:
-        raise ParseError(f"defined function {head} inside an i/o equation term", 0, 0)
-    if env.is_constructor(head) or head in fn_names:
-        return App(head, tuple(_resolve(a, env, fn_names, allow_fns) for a in args))
-    if args:
-        raise ParseError(f"undeclared symbol {head} used with arguments", 0, 0)
-    return Var(head)
+def _resolve(nodes, env: SortEnv, fn_names, allow_fns: bool) -> tuple:
+    """The terms whose raw nodes are listed in pre-order, heads classified:
+    constructors and (when allowed) the functions in fn_names head
+    applications; other identifiers are variables.
+
+    The nodes are checked in pre-order, so the first error is the leftmost,
+    then built from the last: each application takes its arguments, first
+    argument on top, from the stack of terms built so far.
+    """
+    is_constructor = env.is_constructor
+    for head, arity in nodes:
+        if head in fn_names and not allow_fns:
+            raise ParseError(f"defined function {head} inside an i/o equation term", 0, 0)
+        if arity and not (is_constructor(head) or head in fn_names):
+            raise ParseError(f"undeclared symbol {head} used with arguments", 0, 0)
+    built = []
+    for head, arity in reversed(nodes):
+        if arity:
+            args = tuple(built[:-arity - 1:-1])
+            del built[-arity:]
+            built.append(App(head, args))
+        elif is_constructor(head) or head in fn_names:
+            built.append(App(head))
+        else:
+            built.append(Var(head))
+    return tuple(reversed(built))
 
 
 def render_problem(problem: Problem) -> str:

@@ -53,11 +53,15 @@ def rule_defect(rule: Rule, defined) -> str | None:
 
     The lhs head must be defined, lhs arguments must be left-linear patterns
     of constructors and variables, and every rhs variable must occur on the
-    lhs.
+    lhs.  When `defined` maps the names to their signatures, the lhs must
+    also have as many arguments as its head's signature has domain sorts.
     """
     head = rule.lhs.head
     if head not in defined:
         return f"lhs head {head} has no signature"
+    if isinstance(defined, dict) and len(rule.lhs.args) != defined[head].arity:
+        return (f"lhs of {head} has {len(rule.lhs.args)} arguments, "
+                f"but {head} has arity {defined[head].arity}")
     seen: set[str] = set()
     for a in rule.lhs.args:
         for sub in subterms(a):
@@ -76,7 +80,7 @@ def rule_defect(rule: Rule, defined) -> str | None:
 class RewriteSystem:
     """Immutable ordered rule list plus the signatures of all defined symbols.
 
-    Every rule must pass `rule_defect` against the declared names.
+    Every rule must pass `rule_defect` against the declared signatures.
 
     `index` maps each defined symbol to the rules that may match a term it
     heads (first-argument indexing, generalised to the first position that

@@ -382,24 +382,29 @@ def infer_variable_sorts(examples, env: SortEnv, sig: Signature) -> dict:
     independent of the order of the example list.
     """
     var_sorts: dict[str, str] = {}
+    homes = env._ctor_home
 
     def demand(t: Term, sort: str):
-        if isinstance(t, Var):
-            prev = var_sorts.get(t.name)
-            if prev is None:
-                var_sorts[t.name] = sort
-            elif prev != sort:
-                raise SortConflict(t.name, prev, sort)
-            return
-        if not env.is_constructor(t.head):
-            raise UnknownSymbol(f"{t.head} is not a constructor")
-        home_sort, alt = env.constructor_home(t.head)
-        if home_sort != sort:
-            raise SortMismatch(f"{t.head} builds {home_sort}, expected {sort}")
-        if len(t.args) != alt.arity:
-            raise ArityMismatch(f"{t.head} expects {alt.arity} arguments, got {len(t.args)}")
-        for a, s in zip(t.args, alt.arg_sorts):
-            demand(a, s)
+        """Record the sorts demanded in t, visiting its subterms in pre-order."""
+        stack = [(t, sort)]
+        while stack:
+            t, sort = stack.pop()
+            if t.__class__ is Var:
+                prev = var_sorts.get(t.name)
+                if prev is None:
+                    var_sorts[t.name] = sort
+                elif prev != sort:
+                    raise SortConflict(t.name, prev, sort)
+                continue
+            home = homes.get(t.head)
+            if home is None:
+                raise UnknownSymbol(f"{t.head} is not a constructor")
+            home_sort, alt = home
+            if home_sort != sort:
+                raise SortMismatch(f"{t.head} builds {home_sort}, expected {sort}")
+            if len(t.args) != alt.arity:
+                raise ArityMismatch(f"{t.head} expects {alt.arity} arguments, got {len(t.args)}")
+            stack += zip(reversed(t.args), reversed(alt.arg_sorts))
 
     for ex in examples:
         if ex.fn != sig.name:
@@ -413,25 +418,32 @@ def infer_variable_sorts(examples, env: SortEnv, sig: Signature) -> dict:
 
 
 def check_wellsorted(t: Term, expected: str, env: SortEnv, sigs: dict, var_sorts: dict):
-    """Confirm t inhabits the expected sort under declared arities and variable sorts."""
-    if isinstance(t, Var):
-        sort = var_sorts.get(t.name)
-        if sort is None:
-            raise UnknownSymbol(f"variable {t.name} has no declared sort")
-        if sort != expected:
-            raise SortMismatch(f"variable {t.name} is {sort}, expected {expected}")
-        return
-    if env.is_constructor(t.head):
-        home_sort, alt = env.constructor_home(t.head)
-        domain, range_ = alt.arg_sorts, home_sort
-    elif t.head in sigs:
-        sig = sigs[t.head]
-        domain, range_ = sig.domain, sig.range
-    else:
-        raise UnknownSymbol(f"unknown symbol {t.head}")
-    if range_ != expected:
-        raise SortMismatch(f"{t.head} builds {range_}, expected {expected}")
-    if len(t.args) != len(domain):
-        raise ArityMismatch(f"{t.head} expects {len(domain)} arguments, got {len(t.args)}")
-    for a, s in zip(t.args, domain):
-        check_wellsorted(a, s, env, sigs, var_sorts)
+    """Confirm t inhabits the expected sort under declared arities and variable sorts.
+
+    Subterms are checked in pre-order, with an explicit stack.
+    """
+    homes = env._ctor_home
+    stack = [(t, expected)]
+    while stack:
+        t, expected = stack.pop()
+        if t.__class__ is Var:
+            sort = var_sorts.get(t.name)
+            if sort is None:
+                raise UnknownSymbol(f"variable {t.name} has no declared sort")
+            if sort != expected:
+                raise SortMismatch(f"variable {t.name} is {sort}, expected {expected}")
+            continue
+        home = homes.get(t.head)
+        if home is not None:
+            range_, alt = home
+            domain = alt.arg_sorts
+        elif t.head in sigs:
+            sig = sigs[t.head]
+            domain, range_ = sig.domain, sig.range
+        else:
+            raise UnknownSymbol(f"unknown symbol {t.head}")
+        if range_ != expected:
+            raise SortMismatch(f"{t.head} builds {range_}, expected {expected}")
+        if len(t.args) != len(domain):
+            raise ArityMismatch(f"{t.head} expects {len(domain)} arguments, got {len(t.args)}")
+        stack += zip(reversed(t.args), reversed(domain))

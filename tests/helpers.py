@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import itertools
 import pathlib
+import re
 from operator import is_not
 
-from rwlearn import InduceConfig, induce, parse_problem
+from rwlearn import InduceConfig, ParseError, induce, parse_problem
 from rwlearn.learner import _resolve_call
 from rwlearn.rewrite import EvalError, StepLimitExceeded, StuckTerm
 from rwlearn.terms import (
@@ -183,6 +184,37 @@ def closure_substitute(t, subst):
     if not t.args:
         return t
     return App(t.head, tuple(closure_substitute(a, subst) for a in t.args))
+
+
+_LINE_COLUMN_TOKEN = re.compile(r"[A-Za-z0-9_]+|->|[(),;:|=]|#[^\n]*|\s+|.")
+
+
+def line_column_tokenize(text: str) -> list:
+    """(token, line, column) triples of the problem language, found by one
+    regex match per piece of text and a running line and column count;
+    a stray character raises the ParseError the parser raises."""
+    toks = []
+    line, col = 1, 1
+    for m in _LINE_COLUMN_TOKEN.finditer(text):
+        s = m.group()
+        if not s.isspace() and not s.startswith("#"):
+            if not (s == "->" or s in "(),;:|=" or re.fullmatch(r"[A-Za-z0-9_]+", s)):
+                raise ParseError(f"unexpected character {s!r}", line, col)
+            toks.append((s, line, col))
+        newlines = s.count("\n")
+        if newlines:
+            line += newlines
+            col = len(s) - s.rfind("\n")
+        else:
+            col += len(s)
+    return toks
+
+
+def recursive_term_to_json(t):
+    """`cli.term_to_json` as a recursive function of the term."""
+    if isinstance(t, Var):
+        return {"var": t.name}
+    return {"app": t.head, "args": [recursive_term_to_json(a) for a in t.args]}
 
 
 def _rewrite_innermost(system, t):

@@ -3,11 +3,13 @@
 import contextlib
 import io
 import json
+from sys import getrecursionlimit
 
 import pytest
 
 from rwlearn import parse_problem
 from rwlearn.cli import main, run_problem, term_from_json, term_to_json
+from rwlearn.rewrite import Rule
 from rwlearn.terms import App, Var
 
 from helpers import PROBLEMS
@@ -155,19 +157,29 @@ def test_non_integer_flag_exits_2_naming_the_flag(flag, expected):
 
 
 @pytest.mark.parametrize("depth, flags", [(300, ["--no-trace"]), (400, ["--no-trace"]),
-                                          (400, [])])
+                                          (400, []),
+                                          (10 * getrecursionlimit(),
+                                           ["--step-limit", "100000", "--json"])])
 def test_deep_example_is_learned(tmp_path, depth, flags):
-    # evaluation, coverage and trace text must not depend on the recursion limit
+    # parsing, sort checks, evaluation, coverage, trace text and the JSON
+    # report must not depend on the recursion limit
     text = (PROBLEMS / "add.tl").read_text()
     deep = tmp_path / "add.tl"
     example = f"add({'s(' * depth}0{')' * depth},s(0))={'s(' * (depth + 1)}0{')' * (depth + 1)}"
     deep.write_text(text.replace("learn add", f"ex {example} ;\nlearn add"))
-    code, out, err = run_main(str(deep), *flags)
+    report = tmp_path / "report.json"
+    code, out, err = run_main(str(deep), *flags, *([str(report)] if "--json" in flags else []))
     assert code == 0
-    assert (example in err) == (not flags)
+    assert (example in err) == ("--no-trace" not in flags)
     _, plain, _ = run_main(str(PROBLEMS / "add.tl"), "--no-trace")
     definitions = out[out.index("FUNCTION DEFINITIONS:"):]
     assert definitions == plain[plain.index("FUNCTION DEFINITIONS:"):]
+    if "--json" in flags:
+        doc = json.loads(report.read_text())
+        assert doc["success"]
+        rules = [Rule(term_from_json(r["lhs"]), term_from_json(r["rhs"])).render()
+                 for r in doc["rules"]]
+        assert rules == definitions.splitlines()[1:]
 
 
 def test_depth_flag_changes_result():

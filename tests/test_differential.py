@@ -14,13 +14,22 @@ the same key order, and `terms.substitute` the instance that
 which looks each recursive call up by renaming key, must return what
 `scan_derive_aux_examples` returns by trying every example, in the same order;
 `terms.renaming_key` must agree with `terms.renaming_match`.
+The one-scan tokenizer of `dsl` must give the tokens, lines and columns, or
+the error, of `line_column_tokenize`; `cli.term_to_json` the document of
+`recursive_term_to_json`, which `cli.term_from_json` reads back; and the JSON
+report writer `cli._dumps` the text of `json.dumps(doc, indent=2)`.
 """
 
+import json
 import random
+from sys import getrecursionlimit
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rwlearn import ParseError
+from rwlearn.cli import _dumps, term_from_json, term_to_json
+from rwlearn.dsl import _tokenize
 from rwlearn.learner import FreshNames, build_scheme, derive_aux_examples, split_by_constructor
 from rwlearn.rewrite import (
     RewriteSystem,
@@ -49,9 +58,11 @@ from helpers import (
     closure_match_pattern,
     closure_substitute,
     eq,
+    line_column_tokenize,
     list_env,
     nat_env,
     random_term,
+    recursive_term_to_json,
     restarting_evaluate_steps,
     run_file,
     scan_derive_aux_examples,
@@ -447,3 +458,54 @@ def test_renaming_key_agrees_with_renaming_match(seed):
         b = random_small_term(rng.randint(1, 4), rng, symbols, ["x", "y", "a"], 0.4)
     assert_key_agrees_with_renaming_match(a, b)
     assert_key_agrees_with_renaming_match(b, a)
+
+
+# problem-text pieces: words, punctuation, comments, whitespace and stray characters
+TEXT_PIECES = ["sort", "fun", "ex", "learn", "nat", "s", "0", "x_1", "Z9", "(", ")", ",", ";",
+               ":", "|", "=", "->", "-", ">", "#", "# a (note) ;", "\n", " ", "\t", "\r",
+               "\x0b", "\x1c", "\u2028", "\xe9", "$", "\x00"]
+
+
+@given(st.lists(st.sampled_from(TEXT_PIECES), max_size=40).map("".join) | st.text(max_size=30))
+def test_tokenizer_agrees_with_the_line_column_tokenizer(text):
+    try:
+        expected = line_column_tokenize(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as info:
+            _tokenize(text)
+        assert str(info.value) == str(e)
+        assert (info.value.line, info.value.column) == (e.line, e.column)
+        return
+    toks, offsets = _tokenize(text)
+    assert toks[-1] is None
+    positions = [ParseError.at("", text, at) for at in offsets[:len(toks) - 1]]
+    assert [(tok, e.line, e.column) for tok, e in zip(toks, positions)] == expected
+
+
+JSON_TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f",
+                                                   "\xe9", "\u2028", "\U0001f600"])
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**80, 2**80) | JSON_TEXT,
+    lambda docs: st.lists(docs, max_size=4) | st.dictionaries(JSON_TEXT, docs, max_size=4),
+    max_leaves=30)
+
+
+@given(JSON_DOCS)
+def test_json_writer_agrees_with_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+@given(st.integers(0, 10**9))
+def test_term_json_agrees_with_the_recursive_encoding(seed):
+    rng = random.Random(seed)
+    t = random_small_term(rng.randint(1, 5), rng, {**CTORS, "nd": 3}, ["x", "y"], 0.3)
+    doc = term_to_json(t)
+    assert doc == recursive_term_to_json(t)
+    assert term_from_json(doc) == t
+
+
+def test_term_json_round_trips_deep_terms():
+    t = Var("x")
+    for i in range(10 * getrecursionlimit()):
+        t = App("p", (App("0"), t)) if i % 3 else App("s", (t,))
+    assert term_from_json(term_to_json(t)) == t

@@ -1,12 +1,14 @@
 """Unit tests for the problem-description language parser and printer."""
 
+from sys import getrecursionlimit
+
 import pytest
 
 from rwlearn import ParseError, parse_problem
 from rwlearn.dsl import parse_term, render_problem
 from rwlearn.terms import App, Var
 
-from helpers import list_env, nat
+from helpers import list_env, nat, nat_env
 
 
 GOOD = """
@@ -108,3 +110,12 @@ def test_parse_term():
     assert call.head == "lgth"
     with pytest.raises(ParseError):
         parse_term("q(0)", env)
+
+
+def test_parse_term_does_not_recurse_on_deep_terms():
+    depth = 10 * getrecursionlimit()
+    t = parse_term("s(" * depth + "x" + ")" * depth, nat_env())
+    for _ in range(depth):
+        assert t.head == "s" and len(t.args) == 1
+        t = t.args[0]
+    assert t == Var("x")

@@ -197,6 +197,12 @@ def test_admission_rejects_unbound_rhs_variable():
         )
 
 
+def test_admission_rejects_lhs_of_wrong_arity():
+    x, y = Var("x"), Var("y")
+    with pytest.raises(RuleError, match="lhs of f has 2 arguments, but f has arity 1"):
+        RewriteSystem([Rule(App("f", (x, y)), x)], [Signature("f", ("nat",), "nat")])
+
+
 def test_rule_defect_accepts_an_admissible_rule():
     x, y = Var("x"), Var("y")
     rule = Rule(App("f", (App("s", (x,)), y)), App("f", (x, y)))
