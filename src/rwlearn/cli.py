@@ -320,12 +320,17 @@ def main(argv=None) -> int:
 
     try:
         if args.file == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        source = "standard input" if args.file == "-" else args.file
+        print(f"error: {source} is not {e.encoding} text: {e.reason} at byte {e.start}",
+              file=sys.stderr)
         return 2
     try:
         problem = parse_problem(text)

@@ -202,13 +202,16 @@ def parse_problem(text: str) -> Problem:
             raise ParseError(f"{sig.name} is both a constructor and a function", 0, 0)
 
     examples = []
-    for _, lhs_raw, rhs_raw in raw_examples:
+    for at, lhs_raw, rhs_raw in raw_examples:
         head = lhs_raw[0][0]
         if head != target:
-            raise ParseError(f"example for {head}, but learn target is {target}", 0, 0)
-        examples.append(IOEquation(target,
-                                   _resolve(lhs_raw[1:], env, sigs, allow_fns=False),
-                                   _resolve(rhs_raw, env, sigs, allow_fns=False)[0]))
+            raise ParseError.at(f"example for {head}, but learn target is {target}", text, at)
+        try:
+            examples.append(IOEquation(target,
+                                       _resolve(lhs_raw[1:], env, sigs, allow_fns=False),
+                                       _resolve(rhs_raw, env, sigs, allow_fns=False)[0]))
+        except ParseError as e:
+            raise ParseError.at(e.message, text, at) from None
     if not examples:
         raise ParseError("no examples given", 0, 0)
 
@@ -219,20 +222,30 @@ def parse_problem(text: str) -> Problem:
     try:
         problem.var_sorts = infer_variable_sorts(examples, env, sig)
     except TermError as e:
-        raise ParseError(f"examples input check failed: {e}", 0, 0) from e
+        at = next(at for k, (at, _, _) in enumerate(raw_examples, 1)
+                  if _sort_inference_fails(examples[:k], env, sig))
+        raise ParseError.at(f"examples input check failed: {e}", text, at) from e
     for i, (ex, (at, _, _)) in enumerate(zip(examples, raw_examples), 1):
         try:
             for a, s in zip(ex.lhs_args, sig.domain):
                 check_wellsorted(a, s, env, sigs, problem.var_sorts)
             check_wellsorted(ex.rhs, sig.range, env, sigs, problem.var_sorts)
         except TermError as e:
-            raise ParseError(f"example {i}: {e}", 0, 0) from e
+            raise ParseError.at(f"example {i}: {e}", text, at) from e
         lhs_vars = term_vars(ex.lhs)
         unbound = [v for v in term_vars(ex.rhs) if v not in lhs_vars]
         if unbound:
             raise ParseError.at(f"example {i}: rhs variable {unbound[0]} does not occur on the lhs",
                                 text, at)
     return problem
+
+
+def _sort_inference_fails(examples, env: SortEnv, sig: Signature) -> bool:
+    try:
+        infer_variable_sorts(examples, env, sig)
+    except TermError:
+        return True
+    return False
 
 
 def _parse_alt(p: _Parser) -> ConstructorAlt:

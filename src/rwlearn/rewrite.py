@@ -86,8 +86,10 @@ class RewriteSystem:
     heads (first-argument indexing, generalised to the first position that
     has a constructor in every rule of the symbol): `(position, {constructor:
     rules})`, or `(None, rules)` when no position has one.  Each list keeps
-    rule order.  Rules in different buckets cannot match the same term, so
-    trying a term's bucket first to last finds the rule a scan finds.
+    rule order, and holds each rule as an `(lhs, rhs, shape)` triple, where
+    shape is the rhs's `redex_skeleton`.  Rules in different buckets cannot
+    match the same term, so trying a term's bucket first to last finds the
+    rule a scan finds.
     """
 
     def __init__(self, rules, signatures):
@@ -100,7 +102,8 @@ class RewriteSystem:
             if defect is not None:
                 raise RuleError(defect)
             self._by_head.setdefault(rule.lhs.head, []).append(rule)
-        self.index = {name: _index_rules(self.rules_for(name)) for name in self.sig_by_name}
+        self.index = {name: _index_rules(self.rules_for(name), self.sig_by_name)
+                      for name in self.sig_by_name}
 
     def is_defined(self, name: str) -> bool:
         return name in self.sig_by_name
@@ -109,16 +112,54 @@ class RewriteSystem:
         return self._by_head.get(name, ())
 
 
-def _index_rules(rules) -> tuple:
-    """`RewriteSystem.index` entry of one symbol's rules."""
-    arity = min((len(rule.lhs.args) for rule in rules), default=0)
+def _index_rules(rules, defined) -> tuple:
+    """`RewriteSystem.index` entry of one symbol's rules, given the defined symbols."""
+    entries = [(rule.lhs, rule.rhs, redex_skeleton(rule.rhs, defined)) for rule in rules]
+    arity = min((len(lhs.args) for lhs, _, _ in entries), default=0)
     for i in range(arity):
-        if all(rule.lhs.args[i].__class__ is App for rule in rules):
-            buckets: dict[str, list[Rule]] = {}
-            for rule in rules:
-                buckets.setdefault(rule.lhs.args[i].head, []).append(rule)
+        if all(lhs.args[i].__class__ is App for lhs, _, _ in entries):
+            buckets: dict[str, list[tuple]] = {}
+            for entry in entries:
+                buckets.setdefault(entry[0].args[i].head, []).append(entry)
             return i, buckets
-    return None, rules
+    return None, entries
+
+
+# The shape of a position whose instances are always normal.
+NORMAL = Var("")
+
+
+def redex_skeleton(rhs: Term, defined) -> tuple | None:
+    """The argument shapes that `evaluate_steps` walks in an instance of rhs.
+
+    Every instance of a subterm without a symbol in `defined` is normal, as
+    rule variables are bound to normal terms, so its shape is `NORMAL`.  A
+    defined call whose arguments all have that shape becomes an App with no
+    arguments: its frame pops at once and it is contracted.  Any other App
+    keeps its head and the shapes of its arguments.  None when all of rhs is
+    `NORMAL`: its instance is a normal form as it stands.
+    """
+    if rhs.__class__ is Var:
+        return None
+    # one frame per App, with the shapes of its arguments done so far
+    frames = [(rhs, [])]
+    while True:
+        node, shapes = frames[-1]
+        if len(shapes) < len(node.args):
+            arg = node.args[len(shapes)]
+            if arg.__class__ is Var:
+                shapes.append(NORMAL)
+            else:
+                frames.append((arg, []))
+            continue
+        frames.pop()
+        if all(shape is NORMAL for shape in shapes):
+            shape = App(node.head) if node.head in defined else NORMAL
+        else:
+            shape = App(node.head, tuple(shapes))
+        if not frames:
+            return None if shape is NORMAL else shape.args
+        frames[-1][1].append(shape)
 
 
 def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=None,
@@ -128,9 +169,12 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     Call by value over an explicit stack: the arguments of an App are
     normalised left to right, then a defined root is contracted with the
     first rule that matches, of those in its `RewriteSystem.index` bucket,
-    and the contractum is normalised in turn.  This contracts the
-    leftmost-innermost redex at every step without going back to the root,
-    so a step costs the size of its rule, not of the term.
+    and the contractum is normalised in turn.  Of the contractum only the
+    positions in the rule's `shape` are visited: those that hold a defined
+    call or lie above one, as the rest is normal already.  This contracts
+    the leftmost-innermost redex at every step without going back to the
+    root, so a step costs the part of its rule's rhs that can hold a redex,
+    not the size of the term.
     With normal_args the caller vouches that t's arguments are normal, and
     they are not walked.
 
@@ -153,8 +197,9 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     # positions mark the arguments already known to be normal, the normal
     # forms of the arguments done so far, and, when tabling, the redexes that
     # reduce to this App's normal form, each with the step count before its
-    # contraction.  A contractum's shape is its rule's rhs: the images of the
-    # rhs variables are parts of normal arguments.
+    # contraction.  A contractum's shape is its rule's redex skeleton: the
+    # images of the rhs variables are parts of normal arguments, so only the
+    # positions that hold a defined call or lie above one are walked.
     frames = [(t, (), list(t.args), None) if normal_args else (t, t.args, [], None)]
     while True:
         term, shape, done, opened = frames[-1]
@@ -178,8 +223,8 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
                     # a variable there, or too few arguments, matches no rule
                     key = term.args[position] if position < len(term.args) else None
                     rules = rules.get(key.head, ()) if key.__class__ is App else ()
-                for rule in rules:
-                    binding = match_pattern(rule.lhs, term)
+                for lhs, rhs, shape in rules:
+                    binding = match_pattern(lhs, term)
                     if binding is not None:
                         break
                 else:
@@ -187,12 +232,12 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
                 if table is not None:
                     opened = [] if opened is None else opened
                     opened.append((term, steps))
-                contractum = substitute(rule.rhs, binding)
+                contractum = substitute(rhs, binding)
                 steps += 1
                 if steps > step_limit:
                     raise StepLimitExceeded(step_limit)
-                if rule.rhs.__class__ is App:
-                    frames.append((contractum, rule.rhs.args, [], opened))
+                if shape is not None:
+                    frames.append((contractum, shape, [], opened))
                     continue
                 term = contractum
             else:

@@ -83,6 +83,22 @@ def test_parse_error_exits_2(tmp_path):
     assert "missing learn" in err
 
 
+def test_non_utf8_input_exits_2(tmp_path, monkeypatch):
+    data = b"sort nat = 0 | s(nat) ;\xff\n"
+    bad = tmp_path / "bad.tl"
+    bad.write_bytes(data)
+    code, out, err = run_main(str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad} is not utf-8 text: invalid start byte at byte 23\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run_main("-")
+    assert (code, out) == (2, "")
+    assert err == "error: standard input is not utf-8 text: invalid start byte at byte 23\n"
+    good = (PROBLEMS / "add.tl").read_bytes()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(good)))
+    assert run_main("-", "--no-trace")[0] == 0
+
+
 def test_rhs_only_variable_exits_2(tmp_path):
     bad = tmp_path / "bad.tl"
     bad.write_text("sort nat = 0 | s(nat) ;\nfun f : nat -> nat ;\n"

@@ -1,7 +1,8 @@
 """The explicit-stack evaluator, the matcher and the call lookup against the oracles in helpers.
 
 `rewrite.evaluate_steps`, which tries only the rules of a redex's
-constructor-index bucket, must contract the same redexes in the same order as
+constructor-index bucket and walks only the redex skeleton of a contractum,
+must contract the same redexes in the same order as
 `restarting_evaluate_steps`, which searches for each redex from the root and
 scans all rules of its head with the recursive matcher and instantiator: the
 same normal form and step count, or the same exception with the same stuck
@@ -203,6 +204,27 @@ def test_random_systems_reach_every_index_shape():
             else:
                 shapes["first" if position == 0 else "later"] += 1
                 shapes["shared bucket"] += any(len(bucket) > 1 for bucket in rules.values())
+    assert all(shapes.values()), shapes
+
+
+def test_random_systems_reach_every_skeleton_shape():
+    # the properties above and below check the redex skeletons against the
+    # skeleton-free oracles only if the draws give right-hand sides with no
+    # defined symbol, defined calls over normal arguments (the nullary c among
+    # them), and constructors above a defined call
+    shapes = {"normal": 0, "call over normal": 0, "c": 0, "constructor above a call": 0}
+    for seed in range(300):
+        system = random_system(random.Random(seed))
+        for position, rules in system.index.values():
+            buckets = [rules] if position is None else rules.values()
+            for _, rhs, shape in (entry for bucket in buckets for entry in bucket):
+                if shape is None:
+                    shapes["normal"] += 1
+                elif shape == ():
+                    shapes["call over normal"] += 1
+                    shapes["c"] += rhs == App("c")
+                else:
+                    shapes["constructor above a call"] += rhs.head in CTORS
     assert all(shapes.values()), shapes
 
 

@@ -85,6 +85,37 @@ def test_parse_problem_rejects_malformed_input(text, fragment):
     assert fragment in str(info.value)
 
 
+LIST_PROBLEM = """sort list = nil | cons(nat, list) ;
+sort nat = 0 | s(nat) ;
+fun f : list, nat -> nat ;
+ex f(nil, 0) = 0 ;
+  ex f(va, 0) = 0 ;
+ex f(nil, va) = 0 ;
+learn f ;
+"""
+
+
+@pytest.mark.parametrize("text, error", [
+    # each example's errors are positioned at its `ex` keyword
+    ("sort nat = 0 | s(nat) ;\nfun f : nat -> nat ;\nex f(0) = 0 ;\n  ex f(q(0)) = 0 ;\n"
+     "learn f ;\n", "4:3: undeclared symbol q used with arguments"),
+    (GOOD.replace("ex dup(s(0)) = s(s(0)) ;", "ex dup(s(0)) = dup(0) ;"),
+     "6:1: defined function dup inside an i/o equation term"),
+    (GOOD.replace("ex dup(0) = 0 ;", "ex s(0) = 0 ;"),
+     "5:1: example for s, but learn target is dup"),
+    (GOOD.replace("ex dup(s(0)) = s(s(0)) ;", "ex dup(s(0, 0)) = 0 ;"),
+     "6:1: examples input check failed: s expects 1 arguments, got 2"),
+    (GOOD.replace("ex dup(0) = 0 ;", "ex dup(0, 0) = 0 ;"),
+     "5:1: examples input check failed: dup expects 1 arguments, got 2"),
+    # sort inference fails at the first example that conflicts with those before it
+    (LIST_PROBLEM, "6:1: examples input check failed: variable va used both as list and as nat"),
+])
+def test_example_errors_give_the_example_position(text, error):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == error
+
+
 def test_input_check_rejects_sort_conflicts():
     with pytest.raises(ParseError) as info:
         parse_problem("""

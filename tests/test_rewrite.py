@@ -5,6 +5,7 @@ from sys import getrecursionlimit
 import pytest
 
 from rwlearn.rewrite import (
+    NORMAL,
     RewriteSystem,
     Rule,
     RuleError,
@@ -14,11 +15,13 @@ from rwlearn.rewrite import (
     covers_all,
     evaluate,
     evaluate_steps,
+    redex_skeleton,
     rule_defect,
 )
+from rwlearn.simplify import prune_irrelevant_args
 from rwlearn.terms import App, Signature, Var, match_pattern, same_term, substitute
 
-from helpers import eq, lst, nat, restarting_evaluate_steps
+from helpers import eq, lst, nat, restarting_evaluate_steps, run_file
 
 
 def add_system() -> RewriteSystem:
@@ -81,6 +84,69 @@ def test_tabled_coverage_hashing_and_equality_do_not_recurse_on_deep_terms():
     assert evaluate_steps(add_system(), first.lhs, n + 1, table)[1] == n + 1
     out, steps = evaluate_steps(add_system(), second.lhs, n + 1, table)
     assert steps == n and same_term(out, second.rhs)
+
+
+def test_deep_right_hand_sides_are_built_and_evaluated_without_recursion():
+    # f's rhs is a tower of s over a call of g, h's a tower of s over its variable
+    n = 10 * getrecursionlimit()
+    x = Var("x")
+
+    def tower(t):
+        for _ in range(n):
+            t = App("s", (t,))
+        return t
+
+    sys = RewriteSystem(
+        [
+            Rule(App("f", (x,)), tower(App("g", (x,)))),
+            Rule(App("g", (x,)), App("s", (x,))),
+            Rule(App("h", (x,)), tower(x)),
+        ],
+        [Signature(name, ("nat",), "nat") for name in ("f", "g", "h")],
+    )
+    assert sys.index["h"] == (None, [(App("h", (x,)), tower(x), None)])
+    # h(0) -> s^n(0); f(s^n(0)) -> s^n(g(s^n(0))); g(s^n(0)) -> s^(n+1)(0)
+    t = App("f", (App("h", (nat(0),)),))
+    table = {}
+    # untabled, tabled, and again from the table
+    for known in (None, table, table):
+        out, steps = evaluate_steps(sys, t, table=known)
+        assert steps == 3 and same_term(out, nat(2 * n + 1))
+    out, steps = evaluate_steps(sys, App("h", (nat(1),)))
+    assert steps == 1 and same_term(out, nat(n + 1))
+
+
+def test_golden_add_system_index_triples():
+    problem, report = run_file("add.tl")
+    system = prune_irrelevant_args(report.system, keep={problem.target})
+    assert [rule.render() for rule in system.rules] == [
+        "add(0,v1)=v1",
+        "add(s(v6),v5)=f7(v5,add(v6,v5))",
+        "f7(0,v8)=s(v8)",
+        "f7(s(v9),s(v10))=s(s(v10))",
+    ]
+    zero, step, f7_zero, f7_step = ((rule.lhs, rule.rhs) for rule in system.rules)
+    # only the recursive call in add's step rule is walked, as a redex over
+    # normal arguments; the other right-hand sides are normal as built
+    assert system.index == {
+        "add": (0, {"0": [(*zero, None)], "s": [(*step, (NORMAL, App("add")))]}),
+        "f7": (0, {"0": [(*f7_zero, None)], "s": [(*f7_step, None)]}),
+    }
+    assert system.index["add"][1]["s"][0][2][0] is NORMAL
+
+
+def test_redex_skeleton_marks_the_positions_that_can_hold_a_redex():
+    x, defined = Var("x"), {"f", "c"}
+    cases = [
+        (x, None),
+        (App("s", (App("0"), x)), None),
+        (App("c"), ()),
+        (App("f", (App("s", (x,)), x)), ()),
+        (App("s", (App("0"), App("f", (x,)))), (NORMAL, App("f"))),
+        (App("f", (x, App("s", (App("c"),)))), (NORMAL, App("s", (App("c"),)))),
+    ]
+    for rhs, shape in cases:
+        assert redex_skeleton(rhs, defined) == shape, rhs
 
 
 def test_evaluate_normal_form_is_fixed_point():
