@@ -20,13 +20,13 @@ from .learner import InduceConfig
 from .terms import (
     App,
     ConstructorAlt,
+    InvalidSortEnv,
     IOEquation,
     Signature,
     SortEnv,
     Term,
     TermError,
     Var,
-    check_wellsorted,
     infer_variable_sorts,
     render_term,
     term_vars,
@@ -44,6 +44,11 @@ class ParseError(Exception):
     def at(cls, message: str, text: str, offset: int) -> ParseError:
         """The error for the character at offset in text; lines and columns count from 1."""
         return cls(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+    @classmethod
+    def at_end(cls, message: str) -> ParseError:
+        """The error for something the input lacks when it ends."""
+        return cls(message + " (at end of input)", 0, 0)
 
 
 @dataclass
@@ -93,7 +98,7 @@ class _Parser:
     def error(self, message: str):
         if self.toks[self.pos] is not None:
             raise ParseError.at(message, self.text, self.offsets[self.pos])
-        raise ParseError(message + " (at end of input)", 0, 0)
+        raise ParseError.at_end(message)
 
     def peek(self) -> str | None:
         return self.toks[self.pos]
@@ -146,6 +151,9 @@ def parse_problem(text: str) -> Problem:
     sigs: dict[str, Signature] = {}
     raw_examples: list = []
     target = None
+    # the offset of each sort, fun and learn statement, for the checks below
+    sort_at: dict[str, int] = {}
+    fun_at: dict[str, int] = {}
     while p.peek() is not None:
         at = p.offsets[p.pos]
         kw = p.ident()
@@ -160,6 +168,7 @@ def parse_problem(text: str) -> Problem:
             if name in sorts:
                 p.error(f"sort {name} declared twice")
             sorts[name] = alts
+            sort_at[name] = at
         elif kw == "fun":
             name = p.ident()
             p.take(":")
@@ -173,6 +182,7 @@ def parse_problem(text: str) -> Problem:
             if name in sigs:
                 p.error(f"function {name} declared twice")
             sigs[name] = Signature(name, tuple(domain), range_)
+            fun_at[name] = at
         elif kw == "ex":
             lhs = p.term()
             p.take("=")
@@ -182,24 +192,27 @@ def parse_problem(text: str) -> Problem:
         elif kw == "learn":
             target = p.ident()
             p.take(";")
+            learn_at = at
         else:
             p.pos -= 1
             p.error(f"expected sort/fun/ex/learn, found {kw!r}")
 
     try:
-        env = SortEnv({name: alts for name, alts in sorts.items()})
-    except TermError as e:
-        raise ParseError(str(e), 0, 0) from e
+        env = SortEnv(sorts)
+    except InvalidSortEnv as e:
+        raise ParseError.at(str(e), text, sort_at[e.sort]) from e
     if target is None:
-        raise ParseError("missing learn statement", 0, 0)
+        raise ParseError.at_end("missing learn statement")
     if target not in sigs:
-        raise ParseError(f"learn target {target} has no signature", 0, 0)
+        raise ParseError.at(f"learn target {target} has no signature", text, learn_at)
     for sig in sigs.values():
         for s in (*sig.domain, sig.range):
             if s not in env.sorts:
-                raise ParseError(f"signature {sig.name} uses undeclared sort {s}", 0, 0)
+                raise ParseError.at(f"signature {sig.name} uses undeclared sort {s}",
+                                    text, fun_at[sig.name])
         if env.is_constructor(sig.name):
-            raise ParseError(f"{sig.name} is both a constructor and a function", 0, 0)
+            raise ParseError.at(f"{sig.name} is both a constructor and a function",
+                                text, fun_at[sig.name])
 
     examples = []
     for at, lhs_raw, rhs_raw in raw_examples:
@@ -213,10 +226,10 @@ def parse_problem(text: str) -> Problem:
         except ParseError as e:
             raise ParseError.at(e.message, text, at) from None
     if not examples:
-        raise ParseError("no examples given", 0, 0)
+        raise ParseError.at_end("no examples given")
 
-    # examples input check: sort inference, full well-sortedness, and no
-    # rhs variable that the lhs does not bind
+    # examples input check: sort inference, and no rhs variable that the lhs
+    # does not bind
     problem = Problem(env, list(sigs.values()), examples, target)
     sig = sigs[target]
     try:
@@ -226,12 +239,6 @@ def parse_problem(text: str) -> Problem:
                   if _sort_inference_fails(examples[:k], env, sig))
         raise ParseError.at(f"examples input check failed: {e}", text, at) from e
     for i, (ex, (at, _, _)) in enumerate(zip(examples, raw_examples), 1):
-        try:
-            for a, s in zip(ex.lhs_args, sig.domain):
-                check_wellsorted(a, s, env, sigs, problem.var_sorts)
-            check_wellsorted(ex.rhs, sig.range, env, sigs, problem.var_sorts)
-        except TermError as e:
-            raise ParseError.at(f"example {i}: {e}", text, at) from e
         lhs_vars = term_vars(ex.lhs)
         unbound = [v for v in term_vars(ex.rhs) if v not in lhs_vars]
         if unbound:

@@ -8,6 +8,7 @@ matching rule, so it is a deterministic function of (system, term, limit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import is_not
 
 from .terms import (App, IOEquation, Term, Var, match_pattern, render_term, same_term, substitute,
@@ -46,6 +47,25 @@ class Rule:
 
     def render(self) -> str:
         return f"{render_term(self.lhs)}={render_term(self.rhs)}"
+
+    def index_entry(self, defined) -> tuple:
+        """`(lhs, rhs, shape)`, shape being the rhs's `redex_skeleton` over `defined`.
+
+        The shape depends only on which heads of the rhs are defined, so it
+        is computed once for each such set and kept on the rule: systems
+        built again from rules that an earlier system had reuse it.
+        """
+        heads, entries = self._index_entries
+        key = heads.intersection(defined)
+        entry = entries.get(key)
+        if entry is None:
+            entry = entries[key] = (self.lhs, self.rhs, redex_skeleton(self.rhs, defined))
+        return entry
+
+    @cached_property
+    def _index_entries(self) -> tuple:
+        """The heads of the rhs, and the index entries made so far by the defined ones among them."""
+        return frozenset(u.head for u in subterms(self.rhs) if u.__class__ is App), {}
 
 
 def rule_defect(rule: Rule, defined) -> str | None:
@@ -114,7 +134,7 @@ class RewriteSystem:
 
 def _index_rules(rules, defined) -> tuple:
     """`RewriteSystem.index` entry of one symbol's rules, given the defined symbols."""
-    entries = [(rule.lhs, rule.rhs, redex_skeleton(rule.rhs, defined)) for rule in rules]
+    entries = [rule.index_entry(defined) for rule in rules]
     arity = min((len(lhs.args) for lhs, _, _ in entries), default=0)
     for i in range(arity):
         if all(lhs.args[i].__class__ is App for lhs, _, _ in entries):
@@ -169,12 +189,16 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     Call by value over an explicit stack: the arguments of an App are
     normalised left to right, then a defined root is contracted with the
     first rule that matches, of those in its `RewriteSystem.index` bucket,
-    and the contractum is normalised in turn.  Of the contractum only the
-    positions in the rule's `shape` are visited: those that hold a defined
-    call or lie above one, as the rest is normal already.  This contracts
-    the leftmost-innermost redex at every step without going back to the
-    root, so a step costs the part of its rule's rhs that can hold a redex,
-    not the size of the term.
+    and the contractum is normalised in turn.  The contractum is not built
+    first: the rule's rhs is walked with the match binding along its
+    `shape`, the positions that hold a defined call or lie above one.  A
+    normal part of the rhs is instantiated by `substitute` (a variable is
+    read from the binding) when the walk reaches it, a defined call over
+    normal arguments is instantiated and contracted at once, and a node
+    above a call is built once, over the normal forms of its arguments.
+    This contracts the leftmost-innermost redex at every step without going
+    back to the root, so a step costs the part of its rule's rhs that can
+    hold a redex, not the size of the term.
     With normal_args the caller vouches that t's arguments are normal, and
     they are not walked.
 
@@ -195,25 +219,35 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     steps = 0
     # One frame per App being normalised: the App, a shape whose Var
     # positions mark the arguments already known to be normal, the normal
-    # forms of the arguments done so far, and, when tabling, the redexes that
-    # reduce to this App's normal form, each with the step count before its
-    # contraction.  A contractum's shape is its rule's redex skeleton: the
-    # images of the rhs variables are parts of normal arguments, so only the
-    # positions that hold a defined call or lie above one are walked.
-    frames = [(t, (), list(t.args), None) if normal_args else (t, t.args, [], None)]
+    # forms of the arguments done so far, the redexes that reduce to this
+    # App's normal form when tabling, each with the step count before its
+    # contraction, and a binding.  With a binding the frame holds a rhs node
+    # and its redex skeleton, and stands for the node's instance: a normal
+    # argument is instantiated when it is reached, and the instance is built
+    # once, when the frame pops.  A subterm of t has no binding.
+    frames = [(t, (), list(t.args), None, None) if normal_args else (t, t.args, [], None, None)]
     while True:
-        term, shape, done, opened = frames[-1]
+        term, shape, done, opened, binding = frames[-1]
         i = len(done)
         if i < len(shape):
             arg = term.args[i]
-            if shape[i].__class__ is Var:
-                done.append(arg)
-            else:
-                frames.append((arg, shape[i].args, [], None))
-            continue
-        frames.pop()
-        if any(map(is_not, done, term.args)):
-            term = App(term.head, tuple(done))
+            sub = shape[i]
+            if sub.__class__ is Var:
+                done.append(arg if binding is None else binding[arg.name] if arg.__class__ is Var
+                            else substitute(arg, binding) if arg.args else arg)
+                continue
+            if sub.args:
+                frames.append((arg, sub.args, [], None, binding))
+                continue
+            # an App with no argument to walk (in a rhs, a defined call over
+            # normal arguments; in t, a constant) needs no frame of its own
+            # and goes straight on to contraction
+            term = arg if binding is None else substitute(arg, binding)
+            opened = None
+        else:
+            frames.pop()
+            if binding is not None or any(map(is_not, done, term.args)):
+                term = App(term.head, tuple(done))
         entry = index.get(term.head)
         if entry is not None:
             known = None if table is None else table.get(term)
@@ -232,14 +266,17 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
                 if table is not None:
                     opened = [] if opened is None else opened
                     opened.append((term, steps))
-                contractum = substitute(rhs, binding)
                 steps += 1
                 if steps > step_limit:
                     raise StepLimitExceeded(step_limit)
-                if shape is not None:
-                    frames.append((contractum, shape, [], opened))
+                if shape:
+                    frames.append((rhs, shape, [], opened, binding))
                     continue
-                term = contractum
+                term = substitute(rhs, binding)
+                if shape is not None:
+                    # the contractum is itself a call over normal arguments
+                    frames.append((term, (), [], opened, None))
+                    continue
             else:
                 term, taken, stuck = known
                 steps += taken

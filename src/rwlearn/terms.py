@@ -37,7 +37,9 @@ class SortConflict(TermError):
 
 
 class InvalidSortEnv(TermError):
-    pass
+    def __init__(self, message: str, sort: str):
+        super().__init__(message)
+        self.sort = sort  # the sort in whose declaration the defect is found
 
 
 @dataclass(frozen=True)
@@ -303,11 +305,12 @@ class SortEnv:
         for sort, alts in self.sorts.items():
             for alt in alts:
                 if alt.name in self._ctor_home:
-                    raise InvalidSortEnv(f"constructor {alt.name} declared twice")
+                    raise InvalidSortEnv(f"constructor {alt.name} declared twice", sort)
                 self._ctor_home[alt.name] = (sort, alt)
                 for arg in alt.arg_sorts:
                     if arg not in self.sorts:
-                        raise InvalidSortEnv(f"sort {arg} used by {alt.name} is not declared")
+                        raise InvalidSortEnv(f"sort {arg} used by {alt.name} is not declared",
+                                             sort)
         self._check_inhabited()
 
     def _check_inhabited(self):
@@ -321,9 +324,9 @@ class SortEnv:
                 if any(all(a in inhabited for a in alt.arg_sorts) for alt in alts):
                     inhabited.add(sort)
                     changed = True
-        empty = set(self.sorts) - inhabited
+        empty = [sort for sort in self.sorts if sort not in inhabited]
         if empty:
-            raise InvalidSortEnv(f"uninhabited sorts: {sorted(empty)}")
+            raise InvalidSortEnv(f"uninhabited sorts: {sorted(empty)}", empty[0])
 
     def alternatives(self, sort: str) -> tuple:
         if sort not in self.sorts:
@@ -415,35 +418,3 @@ def infer_variable_sorts(examples, env: SortEnv, sig: Signature) -> dict:
             demand(a, s)
         demand(ex.rhs, sig.range)
     return var_sorts
-
-
-def check_wellsorted(t: Term, expected: str, env: SortEnv, sigs: dict, var_sorts: dict):
-    """Confirm t inhabits the expected sort under declared arities and variable sorts.
-
-    Subterms are checked in pre-order, with an explicit stack.
-    """
-    homes = env._ctor_home
-    stack = [(t, expected)]
-    while stack:
-        t, expected = stack.pop()
-        if t.__class__ is Var:
-            sort = var_sorts.get(t.name)
-            if sort is None:
-                raise UnknownSymbol(f"variable {t.name} has no declared sort")
-            if sort != expected:
-                raise SortMismatch(f"variable {t.name} is {sort}, expected {expected}")
-            continue
-        home = homes.get(t.head)
-        if home is not None:
-            range_, alt = home
-            domain = alt.arg_sorts
-        elif t.head in sigs:
-            sig = sigs[t.head]
-            domain, range_ = sig.domain, sig.range
-        else:
-            raise UnknownSymbol(f"unknown symbol {t.head}")
-        if range_ != expected:
-            raise SortMismatch(f"{t.head} builds {range_}, expected {expected}")
-        if len(t.args) != len(domain):
-            raise ArityMismatch(f"{t.head} expects {len(domain)} arguments, got {len(t.args)}")
-        stack += zip(reversed(t.args), reversed(domain))

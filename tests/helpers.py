@@ -251,6 +251,16 @@ def restarting_evaluate_steps(system, t, step_limit: int = 10000):
         t = new
 
 
+def outcome(evaluate, system, t, step_limit):
+    """What evaluate gives on t: its result, or the kind of EvalError with its term or limit."""
+    try:
+        return evaluate(system, t, step_limit)
+    except StuckTerm as e:
+        return StuckTerm, e.term
+    except StepLimitExceeded as e:
+        return StepLimitExceeded, e.limit
+
+
 def untabled_evaluate_steps(system, t, step_limit: int = 10000):
     """Oracle for `rewrite.evaluate_steps` with a table: the explicit-stack loop without one.
 

@@ -33,6 +33,7 @@ from rwlearn.cli import _dumps, term_from_json, term_to_json
 from rwlearn.dsl import _tokenize
 from rwlearn.learner import FreshNames, build_scheme, derive_aux_examples, split_by_constructor
 from rwlearn.rewrite import (
+    NORMAL,
     RewriteSystem,
     Rule,
     StepLimitExceeded,
@@ -62,6 +63,7 @@ from helpers import (
     line_column_tokenize,
     list_env,
     nat_env,
+    outcome,
     random_term,
     recursive_term_to_json,
     restarting_evaluate_steps,
@@ -81,15 +83,6 @@ SEED_RUNS = [
     ("dup.tl", {"try_whole_set_lgg_first": True}, True),
     ("lgth.tl", {"try_whole_set_lgg_first": True}, True),
 ]
-
-
-def outcome(evaluate, system, t, step_limit):
-    try:
-        return evaluate(system, t, step_limit)
-    except StuckTerm as e:
-        return StuckTerm, e.term
-    except StepLimitExceeded as e:
-        return StepLimitExceeded, e.limit
 
 
 def assert_same_outcome(system, t, step_limit):
@@ -207,12 +200,25 @@ def test_random_systems_reach_every_index_shape():
     assert all(shapes.values()), shapes
 
 
+def skeleton_nodes(rhs, shape):
+    """Each rhs node on the redex skeleton that has argument shapes, with them."""
+    stack = [(rhs, shape)]
+    while stack:
+        node, shapes = stack.pop()
+        yield node, shapes
+        stack += [(arg, sub.args) for arg, sub in zip(node.args, shapes)
+                  if sub is not NORMAL and sub.args]
+
+
 def test_random_systems_reach_every_skeleton_shape():
-    # the properties above and below check the redex skeletons against the
-    # skeleton-free oracles only if the draws give right-hand sides with no
-    # defined symbol, defined calls over normal arguments (the nullary c among
-    # them), and constructors above a defined call
-    shapes = {"normal": 0, "call over normal": 0, "c": 0, "constructor above a call": 0}
+    # the properties above and below check the instantiation of right-hand
+    # sides along their redex skeletons against the skeleton-free oracles only
+    # if the draws give right-hand sides with no defined symbol, defined calls
+    # over normal arguments (the nullary c among them), constructors above a
+    # defined call, a defined call right below a constructor, as in s(g(x)),
+    # and a compound normal argument beside a call, as in g(s(x), f(y))
+    shapes = {"normal": 0, "call over normal": 0, "c": 0, "constructor above a call": 0,
+              "call below a constructor": 0, "compound normal beside a call": 0}
     for seed in range(300):
         system = random_system(random.Random(seed))
         for position, rules in system.index.values():
@@ -225,6 +231,13 @@ def test_random_systems_reach_every_skeleton_shape():
                     shapes["c"] += rhs == App("c")
                 else:
                     shapes["constructor above a call"] += rhs.head in CTORS
+                    for node, subs in skeleton_nodes(rhs, shape):
+                        calls = [sub is not NORMAL for sub in subs]
+                        shapes["call below a constructor"] += node.head in CTORS and any(
+                            call and not sub.args for call, sub in zip(calls, subs))
+                        shapes["compound normal beside a call"] += any(calls) and any(
+                            not call and arg.__class__ is App and bool(arg.args)
+                            for call, arg in zip(calls, node.args))
     assert all(shapes.values()), shapes
 
 

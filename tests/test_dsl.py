@@ -116,6 +116,31 @@ def test_example_errors_give_the_example_position(text, error):
     assert str(info.value) == error
 
 
+NAT = "sort nat = 0 | s(nat) ;\n"
+F = "fun f : nat -> nat ;\n"
+REST = "ex f(0) = 0 ;\nlearn f ;\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    # each declaration check is positioned at the statement it concerns
+    (NAT + F + "ex f(0) = 0 ;\n  learn g ;\n", "4:3: learn target g has no signature"),
+    (NAT + "fun f : nat -> lst ;\n" + REST, "2:1: signature f uses undeclared sort lst"),
+    (NAT + F + " fun s : nat -> nat ;\n" + REST, "3:2: s is both a constructor and a function"),
+    # an invalid sort environment, at the sort whose declaration shows it
+    (NAT + "sort b = t | 0 ;\n" + F + REST, "2:1: constructor 0 declared twice"),
+    (NAT + "  sort b = t(c) ;\n" + F + REST, "2:3: sort c used by t is not declared"),
+    ("sort b = t(b) ;\n" + NAT + "sort c = u(c) ;\n" + F + REST,
+     "1:1: uninhabited sorts: ['b', 'c']"),
+    # what the input lacks is reported at its end
+    (NAT + F + "ex f(0) = 0 ;\n", "0:0: missing learn statement (at end of input)"),
+    (NAT + F + "learn f ;\n", "0:0: no examples given (at end of input)"),
+])
+def test_declaration_errors_give_the_statement_position(text, error):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == error
+
+
 def test_input_check_rejects_sort_conflicts():
     with pytest.raises(ParseError) as info:
         parse_problem("""

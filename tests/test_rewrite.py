@@ -4,6 +4,7 @@ from sys import getrecursionlimit
 
 import pytest
 
+from rwlearn import rewrite
 from rwlearn.rewrite import (
     NORMAL,
     RewriteSystem,
@@ -21,7 +22,7 @@ from rwlearn.rewrite import (
 from rwlearn.simplify import prune_irrelevant_args
 from rwlearn.terms import App, Signature, Var, match_pattern, same_term, substitute
 
-from helpers import eq, lst, nat, restarting_evaluate_steps, run_file
+from helpers import eq, lst, nat, outcome, restarting_evaluate_steps, run_file
 
 
 def add_system() -> RewriteSystem:
@@ -147,6 +148,79 @@ def test_redex_skeleton_marks_the_positions_that_can_hold_a_redex():
     ]
     for rhs, shape in cases:
         assert redex_skeleton(rhs, defined) == shape, rhs
+
+
+def test_contractum_whose_root_is_a_call_over_normal_arguments():
+    # rev2's step rule has the skeleton (): its contractum is the next redex
+    x, l, acc = Var("x"), Var("l"), Var("acc")
+    sys = RewriteSystem(
+        [
+            Rule(App("rev2", (App("nil"), acc)), acc),
+            Rule(App("rev2", (App("cons", (x, l)), acc)), App("rev2", (l, App("cons", (x, acc))))),
+        ],
+        [Signature("rev2", ("list", "list"), "list")],
+    )
+    assert sys.index["rev2"][1]["cons"][0][2] == ()
+    nil = App("nil")
+    cases = [
+        (App("rev2", (lst(nat(1), nat(2), nat(3)), nil)), 10, (lst(nat(3), nat(2), nat(1)), 4)),
+        (App("rev2", (App("cons", (nat(1), Var("a"))), nil)), 10,
+         (StuckTerm, App("rev2", (Var("a"), lst(nat(1)))))),
+        (App("rev2", (lst(nat(1), nat(2), nat(3)), nil)), 2, (StepLimitExceeded, 2)),
+    ]
+    for t, limit, expected in cases:
+        assert outcome(restarting_evaluate_steps, sys, t, limit) == expected
+        table = {}
+        # untabled, tabled, and again from the table
+        for known in (None, table, table):
+            assert outcome(lambda *a: evaluate_steps(*a, table=known), sys, t, limit) == expected
+
+
+def test_normal_arguments_beside_a_call_are_instantiated():
+    # app's step rule has a call below a constructor, and rev's a compound
+    # normal argument, cons(x, nil), beside a call
+    x, l, y = Var("x"), Var("l"), Var("y")
+    nil = App("nil")
+    sys = RewriteSystem(
+        [
+            Rule(App("rev", (nil,)), nil),
+            Rule(App("rev", (App("cons", (x, l)),)), App("app", (App("rev", (l,)), lst(x)))),
+            Rule(App("app", (nil, y)), y),
+            Rule(App("app", (App("cons", (x, l)), y)), App("cons", (x, App("app", (l, y))))),
+        ],
+        [Signature("rev", ("list",), "list"), Signature("app", ("list", "list"), "list")],
+    )
+    assert sys.index["rev"][1]["cons"][0][2] == (App("rev"), NORMAL)
+    assert sys.index["app"][1]["cons"][0][2] == (NORMAL, App("app"))
+    t = App("rev", (lst(nat(1), nat(2), nat(3)),))
+    expected = (lst(nat(3), nat(2), nat(1)), 10)
+    assert outcome(restarting_evaluate_steps, sys, t, 100) == expected
+    table = {}
+    for known in (None, table, table):
+        assert outcome(lambda *a: evaluate_steps(*a, table=known), sys, t, 100) == expected
+
+
+def test_systems_over_the_same_rule_share_its_skeleton(monkeypatch):
+    built = []
+
+    def counting_skeleton(rhs, defined):
+        built.append(rhs)
+        return redex_skeleton(rhs, defined)
+
+    monkeypatch.setattr(rewrite, "redex_skeleton", counting_skeleton)
+    x = Var("x")
+    rule = Rule(App("f", (App("s", (x,)),)), App("s", (App("g", (x,)),)))
+    f, g, h = (Signature(name, ("nat",), "nat") for name in ("f", "g", "h"))
+    first = RewriteSystem([rule], [f, g])
+    assert built == [rule.rhs]
+    # h is not a head of the rhs, so the shape is the same: no new skeleton
+    second = RewriteSystem([rule], [f, g, h])
+    assert built == [rule.rhs]
+    assert second.index["f"][1]["s"][0] is first.index["f"][1]["s"][0]
+    # with g undefined the rhs is normal as built: a skeleton of its own
+    third = RewriteSystem([rule], [f])
+    assert len(built) == 2 and third.index["f"][1]["s"][0][2] is None
+    assert RewriteSystem([rule], [f]).index == third.index and len(built) == 2
 
 
 def test_evaluate_normal_form_is_fixed_point():

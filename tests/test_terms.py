@@ -14,10 +14,8 @@ from rwlearn.terms import (
     Signature,
     SortConflict,
     SortEnv,
-    SortMismatch,
     UnknownSymbol,
     Var,
-    check_wellsorted,
     classify_args,
     infer_variable_sorts,
     match_pattern,
@@ -143,14 +141,6 @@ def test_infer_variable_sorts_rejects_bad_terms():
         infer_variable_sorts([IOEquation("f", (App("q", (nat(0),)),), nat(0))], env, sig)
     with pytest.raises(ArityMismatch):
         infer_variable_sorts([IOEquation("f", (App("s"),), nat(0))], env, sig)
-
-
-def test_check_wellsorted_accepts_function_calls():
-    env = nat_env()
-    sigs = {"add": Signature("add", ("nat", "nat"), "nat")}
-    check_wellsorted(App("add", (nat(1), Var("x"))), "nat", env, sigs, {"x": "nat"})
-    with pytest.raises(SortMismatch):
-        check_wellsorted(Var("x"), "list", env, sigs, {"x": "nat"})
 
 
 @given(st.integers(0, 10**9))
