@@ -1,8 +1,8 @@
 """Learning structurally recursive rewrite definitions from i/o equations.
 
 The package root exports the library entry points; everything else is
-imported from its module (`terms`, `antiunify`, `rewrite`, `learner`,
-`simplify`, `dsl`, `cli`).
+imported from its module (`terms`, `antiunify`, `rewrite`, `codegen`,
+`learner`, `simplify`, `dsl`, `cli`).
 """
 
 from .dsl import ParseError, parse_problem

@@ -51,19 +51,33 @@ def lgg(ts, store: GenStore, depth=INF, _level: int = 1) -> Term:
     The root symbol sits at depth 1; a node is kept only when all heads agree
     and its depth is still below the bound, otherwise the tuple is generalized
     by a store variable.  depth=INF gives the classical lgg.
+
+    Built on an explicit stack of kept nodes (head, the iterator over their
+    argument tuples, the generalized arguments so far, depth), so store
+    variables are taken in left-to-right pre-order, as a recursive walk
+    takes them.
     """
     ts = tuple(ts)
     if not ts:
         raise ValueError("lgg of an empty tuple")
-    if not (_heads_agree(ts) and _level < depth):
-        return store.var_for(ts)
-    t0 = ts[0]
-    if isinstance(t0, Var):
-        return t0
-    return App(
-        t0.head,
-        tuple(lgg(args, store, depth, _level + 1) for args in zip(*(t.args for t in ts))),
-    )
+    # the bottom frame stands above the root and collects its generalization
+    frames = [(None, iter((ts,)), [], _level - 1)]
+    while True:
+        head, columns, done, level = frames[-1]
+        for column in columns:
+            t0 = column[0]
+            if not (_heads_agree(column) and level + 1 < depth):
+                done.append(store.var_for(column))
+            elif t0.__class__ is App and t0.args:
+                frames.append((t0.head, zip(*(t.args for t in column)), [], level + 1))
+                break
+            else:  # a variable or a constant shared by the whole column
+                done.append(t0)
+        else:
+            frames.pop()
+            if not frames:
+                return done[0]
+            frames[-1][2].append(App(head, tuple(done)))
 
 
 def generalize_examples(fn: str, examples, depth=INF, fresh=None) -> Rule | None:

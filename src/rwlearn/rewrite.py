@@ -12,7 +12,7 @@ from functools import cached_property
 from operator import is_not
 
 from .terms import (App, IOEquation, Term, Var, match_pattern, render_term, same_term, substitute,
-                    subterms, term_vars)
+                    subterms)
 
 
 class EvalError(Exception):
@@ -48,24 +48,56 @@ class Rule:
     def render(self) -> str:
         return f"{render_term(self.lhs)}={render_term(self.rhs)}"
 
-    def index_entry(self, defined) -> tuple:
+    def index_entry(self, defined, hot: bool = False) -> tuple:
         """`(lhs, rhs, shape)`, shape being the rhs's `redex_skeleton` over `defined`.
 
         The shape depends only on which heads of the rhs are defined, so it
         is computed once for each such set and kept on the rule: systems
-        built again from rules that an earlier system had reuse it.
+        built again from rules that an earlier system had reuse it.  With
+        hot, or once an earlier system was hot, the entry is
+        `codegen.hot_entry`'s `(match, keyed rhs, shape)` instead, kept on the
+        rule in the same way.
         """
         heads, entries = self._index_entries
         key = heads.intersection(defined)
         entry = entries.get(key)
         if entry is None:
             entry = entries[key] = (self.lhs, self.rhs, redex_skeleton(self.rhs, defined))
+        if hot and entry[0] is self.lhs:
+            from .codegen import hot_entry  # loaded by the first system that turns hot
+            entry = entries[key] = hot_entry(*entry)
         return entry
 
     @cached_property
     def _index_entries(self) -> tuple:
         """The heads of the rhs, and the index entries made so far by the defined ones among them."""
         return frozenset(u.head for u in subterms(self.rhs) if u.__class__ is App), {}
+
+    @cached_property
+    def _admission(self) -> tuple:
+        """What `rule_defect` needs to know of the rule alone, from one walk of each side.
+
+        The heads inside the lhs arguments up to a repeated variable, in
+        pre-order, and the first defect that no signature can mend, or None:
+        a repeated lhs variable, else an rhs variable that the lhs does not
+        bind.  A defined head among those heads is named before that defect,
+        as one pre-order walk with the signatures would name it.
+        """
+        head = self.lhs.head
+        heads: dict[str, None] = {}
+        seen: set[str] = set()
+        for a in self.lhs.args:
+            for sub in subterms(a):
+                if sub.__class__ is App:
+                    heads[sub.head] = None
+                elif sub.name in seen:
+                    return heads, f"non-left-linear lhs of {head}: variable {sub.name} repeats"
+                else:
+                    seen.add(sub.name)
+        for sub in subterms(self.rhs):
+            if sub.__class__ is Var and sub.name not in seen:
+                return heads, f"unbound rhs variable {sub.name} in a rule of {head}"
+        return heads, None
 
 
 def rule_defect(rule: Rule, defined) -> str | None:
@@ -75,6 +107,8 @@ def rule_defect(rule: Rule, defined) -> str | None:
     of constructors and variables, and every rhs variable must occur on the
     lhs.  When `defined` maps the names to their signatures, the lhs must
     also have as many arguments as its head's signature has domain sorts.
+    Of several defects in the lhs arguments, the first in pre-order is named.
+    The rule's walks are made once, by its first check.
     """
     head = rule.lhs.head
     if head not in defined:
@@ -82,19 +116,11 @@ def rule_defect(rule: Rule, defined) -> str | None:
     if isinstance(defined, dict) and len(rule.lhs.args) != defined[head].arity:
         return (f"lhs of {head} has {len(rule.lhs.args)} arguments, "
                 f"but {head} has arity {defined[head].arity}")
-    seen: set[str] = set()
-    for a in rule.lhs.args:
-        for sub in subterms(a):
-            if isinstance(sub, Var):
-                if sub.name in seen:
-                    return f"non-left-linear lhs of {head}: variable {sub.name} repeats"
-                seen.add(sub.name)
-            elif sub.head in defined:
-                return f"defined symbol {sub.head} inside lhs pattern"
-    for v in term_vars(rule.rhs):
-        if v not in seen:
-            return f"unbound rhs variable {v} in a rule of {head}"
-    return None
+    heads, defect = rule._admission
+    for symbol in heads:
+        if symbol in defined:
+            return f"defined symbol {symbol} inside lhs pattern"
+    return defect
 
 
 class RewriteSystem:
@@ -110,6 +136,12 @@ class RewriteSystem:
     shape is the rhs's `redex_skeleton`.  Rules in different buckets cannot
     match the same term, so trying a term's bucket first to last finds the
     rule a scan finds.
+
+    A system is cold until the `evaluate_steps` calls on it that returned
+    have taken `HOT_STEPS` steps in all (`cold_steps` counts them).  Then it
+    turns hot: every index entry becomes the rule's `codegen.hot_entry`,
+    which evaluates the same.  A rule keeps its hot entry, so a later system built
+    with it starts with that entry.
     """
 
     def __init__(self, rules, signatures):
@@ -122,8 +154,8 @@ class RewriteSystem:
             if defect is not None:
                 raise RuleError(defect)
             self._by_head.setdefault(rule.lhs.head, []).append(rule)
-        self.index = {name: _index_rules(self.rules_for(name), self.sig_by_name)
-                      for name in self.sig_by_name}
+        self.cold_steps = 0
+        self._index(HOT_STEPS <= 0)
 
     def is_defined(self, name: str) -> bool:
         return name in self.sig_by_name
@@ -131,16 +163,20 @@ class RewriteSystem:
     def rules_for(self, name: str):
         return self._by_head.get(name, ())
 
+    def _index(self, hot: bool):
+        self.index = {name: _index_rules(self.rules_for(name), self.sig_by_name, hot)
+                      for name in self.sig_by_name}
 
-def _index_rules(rules, defined) -> tuple:
+
+def _index_rules(rules, defined, hot: bool) -> tuple:
     """`RewriteSystem.index` entry of one symbol's rules, given the defined symbols."""
-    entries = [rule.index_entry(defined) for rule in rules]
-    arity = min((len(lhs.args) for lhs, _, _ in entries), default=0)
+    entries = [rule.index_entry(defined, hot) for rule in rules]
+    arity = min((len(rule.lhs.args) for rule in rules), default=0)
     for i in range(arity):
-        if all(lhs.args[i].__class__ is App for lhs, _, _ in entries):
+        if all(rule.lhs.args[i].__class__ is App for rule in rules):
             buckets: dict[str, list[tuple]] = {}
-            for entry in entries:
-                buckets.setdefault(entry[0].args[i].head, []).append(entry)
+            for rule, entry in zip(rules, entries):
+                buckets.setdefault(rule.lhs.args[i].head, []).append(entry)
             return i, buckets
     return None, entries
 
@@ -182,6 +218,12 @@ def redex_skeleton(rhs: Term, defined) -> tuple | None:
         frames[-1][1].append(shape)
 
 
+# A system turns hot once its evaluate_steps calls have taken this many
+# steps: generating and compiling a rule's matcher costs about as much as a
+# hundred generic matches, so systems that take few steps stay cold.
+HOT_STEPS = 2000
+
+
 def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=None,
                    normal_args: bool = False):
     """Normal form of t together with the number of rewrite steps taken.
@@ -199,6 +241,14 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     This contracts the leftmost-innermost redex at every step without going
     back to the root, so a step costs the part of its rule's rhs that can
     hold a redex, not the size of the term.
+
+    Rules are tried in two tiers.  A cold index entry is matched by the
+    generic `match_pattern`, and its parts are built by `substitute` as
+    above.  Once the calls on sys that returned have taken `HOT_STEPS`
+    steps, sys is hot: each entry is the rule's `codegen.hot_entry`, whose
+    generated `match` tests the rule's lhs and builds every part the walk
+    takes in one call, and the walk reads them from its binding.  Both
+    tiers contract the same redexes with the same rules.
     With normal_args the caller vouches that t's arguments are normal, and
     they are not walked.
 
@@ -242,7 +292,8 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
             # an App with no argument to walk (in a rhs, a defined call over
             # normal arguments; in t, a constant) needs no frame of its own
             # and goes straight on to contraction
-            term = arg if binding is None else substitute(arg, binding)
+            term = (arg if binding is None else binding[arg.name] if arg.__class__ is Var
+                    else substitute(arg, binding))
             opened = None
         else:
             frames.pop()
@@ -258,7 +309,7 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
                     key = term.args[position] if position < len(term.args) else None
                     rules = rules.get(key.head, ()) if key.__class__ is App else ()
                 for lhs, rhs, shape in rules:
-                    binding = match_pattern(lhs, term)
+                    binding = match_pattern(lhs, term) if lhs.__class__ is App else lhs(term)
                     if binding is not None:
                         break
                 else:
@@ -272,7 +323,7 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
                 if shape:
                     frames.append((rhs, shape, [], opened, binding))
                     continue
-                term = substitute(rhs, binding)
+                term = binding[rhs.name] if rhs.__class__ is Var else substitute(rhs, binding)
                 if shape is not None:
                     # the contractum is itself a call over normal arguments
                     frames.append((term, (), [], opened, None))
@@ -288,6 +339,10 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
             for redex, start in opened:
                 table[redex] = (term, steps - start, False)
         if not frames:
+            if sys.cold_steps < HOT_STEPS:
+                sys.cold_steps += steps
+                if sys.cold_steps >= HOT_STEPS:
+                    sys._index(hot=True)
             return term, steps
         frames[-1][2].append(term)
 

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import pathlib
 import re
 from operator import is_not
 
-from rwlearn import InduceConfig, ParseError, induce, parse_problem
+import pytest
+
+from rwlearn import InduceConfig, ParseError, induce, parse_problem, rewrite
 from rwlearn.learner import _resolve_call
-from rwlearn.rewrite import EvalError, StepLimitExceeded, StuckTerm
+from rwlearn.rewrite import EvalError, RewriteSystem, Rule, StepLimitExceeded, StuckTerm
 from rwlearn.terms import (
     App,
     ConstructorAlt,
@@ -259,6 +262,27 @@ def outcome(evaluate, system, t, step_limit):
         return StuckTerm, e.term
     except StepLimitExceeded as e:
         return StepLimitExceeded, e.limit
+
+
+@contextlib.contextmanager
+def hot_steps(n):
+    """`rewrite.HOT_STEPS` set to n: a system built inside turns hot after n steps,
+    at once for 0 and never for infinity."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "HOT_STEPS", n)
+        yield
+
+
+def rebuilt(system) -> RewriteSystem:
+    """system over copies of its rules, which bring no hot index entry along."""
+    return RewriteSystem([Rule(rule.lhs, rule.rhs) for rule in system.rules], system.signatures)
+
+
+def is_hot(system) -> bool:
+    """Whether every index entry of system is a hot one."""
+    entries = [entry for position, rules in system.index.values()
+               for bucket in ([rules] if position is None else rules.values()) for entry in bucket]
+    return all(not isinstance(entry[0], App) for entry in entries)
 
 
 def untabled_evaluate_steps(system, t, step_limit: int = 10000):

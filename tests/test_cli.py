@@ -198,6 +198,29 @@ def test_deep_example_is_learned(tmp_path, depth, flags):
         assert rules == definitions.splitlines()[1:]
 
 
+def test_long_lists_of_one_shape_fail_with_a_reason(tmp_path):
+    # anti-unifying two lists of 600 and 601 elements keeps a 600-deep cons
+    # spine, deeper than a recursive lgg can go; the run must end in a named
+    # failure, not a traceback
+    def lst(n, name):
+        return "".join(f"cons({name}{i}," for i in range(n)) + "nil" + ")" * n
+
+    text = (PROBLEMS / "lgth.tl").read_text()
+    sorts = text[:text.index("ex ")]
+    examples = "ex lgth(nil) = 0 ;\n" + "".join(
+        f"ex lgth({lst(n, name)}) = {'s(' * n}0{')' * n} ;\n"
+        for n, name in ((600, "a"), (601, "b")))
+    problem = tmp_path / "lgth.tl"
+    problem.write_text(sorts + examples + "learn lgth ;\n")
+    report = tmp_path / "report.json"
+    code, out, err = run_main(str(problem), "--json", str(report))
+    assert code == 1
+    assert "Traceback" not in err and err.startswith("induce(lgth)\n")
+    assert "SYNTHESIS FAILED: underivable-aux-examples" in out
+    doc = json.loads(report.read_text())
+    assert not doc["success"] and doc["failure"]["reason"] == "underivable-aux-examples"
+
+
 def test_depth_flag_changes_result():
     code, *_ = run_main(str(PROBLEMS / "size.tl"), "--no-trace", "--depth", "2")
     assert code == 1

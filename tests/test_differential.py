@@ -9,6 +9,9 @@ same normal form and step count, or the same exception with the same stuck
 term or limit.  With a table shared across calls it must give what the
 untabled loop `untabled_evaluate_steps` gives on each call alone, and
 `rewrite.covers_all` what `untabled_covers_all` gives, in the same order.
+All of this holds at both tiers of the evaluator: with every rule matched
+and instantiated by the generic kernels, with every rule by its generated
+matcher, and with a system that turns hot between two calls.
 `terms.match_pattern` must return the binding of `closure_match_pattern`, in
 the same key order, and `terms.substitute` the instance that
 `closure_substitute` builds.  `learner.derive_aux_examples`,
@@ -22,6 +25,7 @@ report writer `cli._dumps` the text of `json.dumps(doc, indent=2)`.
 """
 
 import json
+import math
 import random
 from sys import getrecursionlimit
 
@@ -60,11 +64,13 @@ from helpers import (
     closure_match_pattern,
     closure_substitute,
     eq,
+    hot_steps,
     line_column_tokenize,
     list_env,
     nat_env,
     outcome,
     random_term,
+    rebuilt,
     recursive_term_to_json,
     restarting_evaluate_steps,
     run_file,
@@ -83,6 +89,9 @@ SEED_RUNS = [
     ("dup.tl", {"try_whole_set_lgg_first": True}, True),
     ("lgth.tl", {"try_whole_set_lgg_first": True}, True),
 ]
+
+# HOT_STEPS values: every system hot from the start, and every system cold
+TIERS = [0, math.inf]
 
 
 def assert_same_outcome(system, t, step_limit):
@@ -119,18 +128,21 @@ def seed_systems():
     return systems
 
 
+@pytest.mark.parametrize("tier", TIERS)
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
-def test_evaluators_agree_on_learned_seed_systems(seed_systems, seed):
+def test_evaluators_agree_on_learned_seed_systems(seed_systems, tier, seed):
     rng = random.Random(seed)
     problem, system = rng.choice(seed_systems)
-    ex = rng.choice(problem.examples)
-    assert_same_outcome(system, ex.lhs, 10000)
-    for _ in range(5):
-        sig = rng.choice(system.signatures)
-        t = App(sig.name, tuple(random_call(system, problem.sort_env, d, rng.randint(1, 5), rng,
-                                            ["a", "b"]) for d in sig.domain))
-        assert_same_outcome(system, t, rng.choice([0, 2, 10, 10000]))
+    with hot_steps(tier):
+        system = rebuilt(system)
+        ex = rng.choice(problem.examples)
+        assert_same_outcome(system, ex.lhs, 10000)
+        for _ in range(5):
+            sig = rng.choice(system.signatures)
+            t = App(sig.name, tuple(random_call(system, problem.sort_env, d, rng.randint(1, 5),
+                                                rng, ["a", "b"]) for d in sig.domain))
+            assert_same_outcome(system, t, rng.choice([0, 2, 10, 10000]))
 
 
 # One sort with a nullary, a unary and a binary constructor; c, f and g are defined.
@@ -164,7 +176,7 @@ def random_system(rng) -> RewriteSystem:
         names = iter(f"x{i}" for i in range(100))
         lhs = App(head, tuple(random_pattern(3, rng, lambda: next(names))
                               for _ in range(DEFINED[head])))
-        rhs = random_small_term(rng.randint(1, 3), rng, {**CTORS, **DEFINED}, term_vars(lhs))
+        rhs = random_small_term(rng.randint(1, 5), rng, {**CTORS, **DEFINED}, term_vars(lhs))
         rules.append(Rule(lhs, rhs))
     sigs = [Signature(h, ("t",) * n, "t") for h, n in DEFINED.items()]
     return RewriteSystem(rules, sigs)
@@ -172,16 +184,57 @@ def random_system(rng) -> RewriteSystem:
 
 # no deadline: the restarting oracle is quadratic in the steps taken, and a
 # non-terminating draw takes up to 200 of them
+@pytest.mark.parametrize("tier", TIERS)
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
-def test_evaluators_agree_on_random_small_systems(seed):
+def test_evaluators_agree_on_random_small_systems(tier, seed):
     rng = random.Random(seed)
-    system = random_system(rng)
-    for _ in range(5):
-        head = rng.choice(list(DEFINED))
-        t = App(head, tuple(random_small_term(rng.randint(1, 3), rng, {**CTORS, **DEFINED},
-                                              ["a", "b"], 0.1) for _ in range(DEFINED[head])))
-        assert_same_outcome(system, t, rng.choice([0, 1, 5, 50, 200]))
+    with hot_steps(tier):
+        system = random_system(rng)
+        for _ in range(5):
+            if rng.random() < 0.5:
+                head = rng.choice(list(DEFINED))
+                t = App(head, tuple(random_small_term(rng.randint(1, 3), rng,
+                                                      {**CTORS, **DEFINED}, ["a", "b"], 0.1)
+                                    for _ in range(DEFINED[head])))
+            else:  # an instance of a rule's lhs, so that each rule is contracted now and then
+                lhs = rng.choice(system.rules).lhs
+                t = substitute(lhs, {v: random_small_term(rng.randint(1, 3), rng, CTORS, ["a"], 0.1)
+                                     for v in term_vars(lhs)})
+            assert_same_outcome(system, t, rng.choice([0, 1, 5, 50, 200]))
+
+
+# A rule for each defined symbol that keeps its arguments in a constructor term
+CATCH_ALL = [Rule(App("c"), App("0")), Rule(App("f", (Var("x0"),)), App("s", (Var("x0"),))),
+             Rule(App("g", (Var("x0"), Var("x1"))), App("p", (Var("x0"), Var("x1"))))]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@given(st.integers(0, 10**9))
+def test_right_hand_sides_are_instantiated_as_the_oracle_does(tier, seed):
+    # one random rule for r, whose rhs may call c, f and g; each of those has
+    # a single rule that keeps its arguments, so every instance reaches a
+    # normal form in which each part of the contractum can be seen
+    rng = random.Random(seed)
+    names = iter(f"y{i}" for i in range(100))
+    lhs = App("r", tuple(random_pattern(3, rng, lambda: next(names)) for _ in range(2)))
+    symbols, variables = {**CTORS, **DEFINED}, term_vars(lhs)
+    rhs = random_small_term(rng.randint(2, 5), rng, symbols, variables, 0.4)
+    if variables and rng.random() < 0.5:
+        # a compound normal argument beside a call, below a constructor or a call
+        call = rng.choice(["f", "g"])
+        args = [App(call, tuple(random_small_term(3, rng, symbols, variables)
+                                for _ in range(DEFINED[call]))),
+                App("s", (random_small_term(3, rng, CTORS, variables, 0.5),)), rhs]
+        rng.shuffle(args)
+        rhs = App(rng.choice(["p", "g"]), tuple(args[:2]))
+    sigs = [Signature(h, ("t",) * n, "t") for h, n in {**DEFINED, "r": 2}.items()]
+    with hot_steps(tier):
+        system = RewriteSystem([Rule(lhs, rhs), *CATCH_ALL], sigs)
+        for _ in range(3):
+            t = substitute(lhs, {v: random_small_term(rng.randint(1, 3), rng, CTORS, ["a"], 0.2)
+                                 for v in variables})
+            assert_same_outcome(system, t, 100)
 
 
 def test_random_systems_reach_every_index_shape():
@@ -239,6 +292,8 @@ def test_random_systems_reach_every_skeleton_shape():
                             not call and arg.__class__ is App and bool(arg.args)
                             for call, arg in zip(calls, node.args))
     assert all(shapes.values()), shapes
+    # the rarest shape, and the one a walk most easily leaves uninstantiated
+    assert shapes["compound normal beside a call"] >= 30, shapes
 
 
 class CountingTable(dict):
@@ -320,11 +375,15 @@ def test_tabled_evaluation_agrees_with_untabled_on_learned_seed_systems(seed_sys
     assert_tabled_agrees(*seed_system_draw(seed_systems, rng))
 
 
+# 1: in about a quarter of the draws the system turns hot between two calls
+# that share the table
+@pytest.mark.parametrize("tier", [*TIERS, 1])
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
-def test_tabled_evaluation_agrees_with_untabled_on_random_small_systems(seed):
+def test_tabled_evaluation_agrees_with_untabled_on_random_small_systems(tier, seed):
     rng = random.Random(seed)
-    assert_tabled_agrees(*small_system_draw(rng))
+    with hot_steps(tier):
+        assert_tabled_agrees(*small_system_draw(rng))
 
 
 def test_tabled_draws_reach_every_outcome(seed_systems):

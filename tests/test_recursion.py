@@ -16,7 +16,6 @@ NOT_YET = "ROADMAP item 18: not yet on a stack"
 ALLOWED = {
     "learner._induce": "one call per auxiliary layer: its depth is bounded by "
                        "max_recursion_depth and by strictly shrinking example sets",
-    "antiunify.lgg": NOT_YET,
     "simplify.prune_irrelevant_args.occurs_outside_irrelevant": NOT_YET,
     "simplify.prune_irrelevant_args.strip": NOT_YET,
     "simplify.inline_single_rule_aux.expand": NOT_YET,

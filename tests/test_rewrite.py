@@ -1,10 +1,14 @@
 """Unit tests for rule admission, innermost evaluation and coverage."""
 
+import ast
+import math
+import re
 from sys import getrecursionlimit
 
 import pytest
 
-from rwlearn import rewrite
+from rwlearn import codegen, rewrite
+from rwlearn.codegen import matcher_source
 from rwlearn.rewrite import (
     NORMAL,
     RewriteSystem,
@@ -20,9 +24,13 @@ from rwlearn.rewrite import (
     rule_defect,
 )
 from rwlearn.simplify import prune_irrelevant_args
-from rwlearn.terms import App, Signature, Var, match_pattern, same_term, substitute
+from rwlearn.terms import App, Signature, Var, match_pattern, same_term, substitute, subterms
 
-from helpers import eq, lst, nat, outcome, restarting_evaluate_steps, run_file
+from helpers import (eq, hot_steps, is_hot, lst, nat, outcome, rebuilt, restarting_evaluate_steps,
+                     run_file, untabled_covers_all, untabled_evaluate_steps)
+
+# HOT_STEPS values: every system hot from the start, and every system cold
+TIERS = [0, math.inf]
 
 
 def add_system() -> RewriteSystem:
@@ -87,7 +95,8 @@ def test_tabled_coverage_hashing_and_equality_do_not_recurse_on_deep_terms():
     assert steps == n and same_term(out, second.rhs)
 
 
-def test_deep_right_hand_sides_are_built_and_evaluated_without_recursion():
+@pytest.mark.parametrize("tier", TIERS)
+def test_deep_right_hand_sides_are_built_and_evaluated_without_recursion(tier):
     # f's rhs is a tower of s over a call of g, h's a tower of s over its variable
     n = 10 * getrecursionlimit()
     x = Var("x")
@@ -97,15 +106,18 @@ def test_deep_right_hand_sides_are_built_and_evaluated_without_recursion():
             t = App("s", (t,))
         return t
 
-    sys = RewriteSystem(
-        [
-            Rule(App("f", (x,)), tower(App("g", (x,)))),
-            Rule(App("g", (x,)), App("s", (x,))),
-            Rule(App("h", (x,)), tower(x)),
-        ],
-        [Signature(name, ("nat",), "nat") for name in ("f", "g", "h")],
-    )
-    assert sys.index["h"] == (None, [(App("h", (x,)), tower(x), None)])
+    with hot_steps(tier):
+        sys = RewriteSystem(
+            [
+                Rule(App("f", (x,)), tower(App("g", (x,)))),
+                Rule(App("g", (x,)), App("s", (x,))),
+                Rule(App("h", (x,)), tower(x)),
+            ],
+            [Signature(name, ("nat",), "nat") for name in ("f", "g", "h")],
+        )
+    assert is_hot(sys) == (tier == 0)
+    if tier:
+        assert sys.index["h"] == (None, [(App("h", (x,)), tower(x), None)])
     # h(0) -> s^n(0); f(s^n(0)) -> s^n(g(s^n(0))); g(s^n(0)) -> s^(n+1)(0)
     t = App("f", (App("h", (nat(0),)),))
     table = {}
@@ -115,6 +127,24 @@ def test_deep_right_hand_sides_are_built_and_evaluated_without_recursion():
         assert steps == 3 and same_term(out, nat(2 * n + 1))
     out, steps = evaluate_steps(sys, App("h", (nat(1),)))
     assert steps == 1 and same_term(out, nat(n + 1))
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_deep_left_hand_sides_are_matched_without_recursion(tier):
+    # d(s^n(x), s(0)) = x, as the only rule of d
+    n = 10 * getrecursionlimit()
+    x = Var("x")
+    pattern = x
+    for _ in range(n):
+        pattern = App("s", (pattern,))
+    with hot_steps(tier):
+        sys = RewriteSystem([Rule(App("d", (pattern, nat(1))), x)],
+                            [Signature("d", ("nat", "nat"), "nat")])
+    assert is_hot(sys) == (tier == 0)
+    assert outcome(evaluate_steps, sys, App("d", (nat(n + 2), nat(1))), 10) == (nat(2), 1)
+    for t in (App("d", (nat(n - 1), nat(1))), App("d", (nat(n + 2), nat(2))),
+              App("d", (nat(n + 2),))):
+        assert outcome(evaluate_steps, sys, t, 10) == (StuckTerm, t)
 
 
 def test_golden_add_system_index_triples():
@@ -221,6 +251,115 @@ def test_systems_over_the_same_rule_share_its_skeleton(monkeypatch):
     third = RewriteSystem([rule], [f])
     assert len(built) == 2 and third.index["f"][1]["s"][0][2] is None
     assert RewriteSystem([rule], [f]).index == third.index and len(built) == 2
+
+
+def test_a_second_system_over_a_rule_does_not_walk_it_again(monkeypatch):
+    walked = []
+
+    def counting_subterms(t):
+        walked.append(t)
+        return subterms(t)
+
+    monkeypatch.setattr(rewrite, "subterms", counting_subterms)
+    x, y = Var("x"), Var("y")
+    rule = Rule(App("f", (App("s", (x,)), y)), App("s", (App("g", (x,)),)))
+    f, g = Signature("f", ("nat", "nat"), "nat"), Signature("g", ("nat",), "nat")
+    RewriteSystem([rule], [f, g])
+    assert walked
+    count = len(walked)
+    RewriteSystem([rule], [f, g])
+    # the head, arity and defined-symbol checks are still made per system
+    with pytest.raises(RuleError, match="^defined symbol s inside lhs pattern$"):
+        RewriteSystem([rule], [f, g, Signature("s", ("nat",), "nat")])
+    with pytest.raises(RuleError, match="^lhs of f has 2 arguments, but f has arity 1$"):
+        RewriteSystem([rule], [Signature("f", ("nat",), "nat"), g])
+    assert len(walked) == count
+
+
+def test_rule_defect_names_the_first_defect_in_pre_order():
+    x, y = Var("x"), Var("y")
+    repeat_first = Rule(App("f", (x, x, App("g", (y,)))), y)
+    call_first = Rule(App("f", (App("g", (x,)), x)), y)
+    for defined in ({"f"}, {"f", "g"}):
+        assert rule_defect(repeat_first, defined) == "non-left-linear lhs of f: variable x repeats"
+    assert rule_defect(call_first, {"f"}) == "non-left-linear lhs of f: variable x repeats"
+    assert rule_defect(call_first, {"f", "g"}) == "defined symbol g inside lhs pattern"
+    unbound = Rule(App("f", (App("g", (x,)),)), y)
+    assert rule_defect(unbound, {"f"}) == "unbound rhs variable y in a rule of f"
+    assert rule_defect(unbound, {"f", "g"}) == "defined symbol g inside lhs pattern"
+
+
+def test_a_system_turns_hot_between_calls_that_share_a_table():
+    a = Var("a")
+    calls = [App("add", (nat(3), nat(2))),          # 4 steps: still cold
+             App("add", (App("s", (a,)), nat(0))),  # stuck on add(a, 0), tabled as stuck
+             App("add", (nat(7), nat(1))),          # 8 more steps: hot on return
+             App("add", (nat(5), nat(2))),          # add(3, 2) found in the table
+             App("add", (nat(2), App("s", (a,)))),
+             App("add", (nat(2), nat(2))),          # all in the table
+             App("add", (App("s", (App("s", (a,)),)), nat(0)))]  # stuck, from the table
+    with hot_steps(10):
+        sys = add_system()
+        table = {}
+        hot = []
+        for t in calls:
+            result = outcome(lambda *args: evaluate_steps(*args, table), sys, t, 100)
+            assert result == outcome(untabled_evaluate_steps, sys, t, 100)
+            hot.append(is_hot(sys))
+        assert hot == [False, False, True, True, True, True, True]
+        # and within one coverage check
+        examples = [eq("add", t.args, nat(6)) for t in calls]
+        sys = add_system()
+        assert covers_all(sys, examples, 100) == untabled_covers_all(sys, examples, 100)
+        assert is_hot(sys)
+
+
+# names that would break out of a string literal, a line or a call if they
+# were pasted into source
+NASTY = ["x'); raise SystemExit('", 'q"]]\n#', "(", "\\", "0", "a b", "\u2028", "__import__('os')",
+         "v0", "App", ")\n    return None\n#"]
+
+
+def test_generated_matchers_hold_names_only_as_literals(monkeypatch):
+    sources = []
+
+    def recording(lhs, parts):
+        source, constants = matcher_source(lhs, parts)
+        sources.append(source)
+        return source, constants
+
+    monkeypatch.setattr(codegen, "matcher_source", recording)
+    f, g, k, s, p = NASTY[:5]
+    x, y, u, v, w = map(Var, NASTY[5:10])
+    rules = [
+        Rule(App(f, (App(k), y)), y),
+        Rule(App(f, (App(s, (x,)), y)), App(g, (App(p, (x, App(k))), App(f, (x, y))))),
+        Rule(App(g, (App(p, (u, v)), w)), App(s, (App(p, (w, App(NASTY[10]))),))),
+    ]
+    sigs = [Signature(f, ("t", "t"), "t"), Signature(g, ("t", "t"), "t")]
+    cold = RewriteSystem(rules, sigs)
+    with hot_steps(0):
+        hot = rebuilt(cold)
+    assert is_hot(hot) and not is_hot(cold) and len(sources) == 3
+    two = App(s, (App(s, (App(k),)),))
+    for t, steps in ((App(f, (two, App(k))), 5), (App(f, (two, Var("z"))), 5),
+                     (App(f, (App(s, (Var("z"),)), two)), None)):
+        expected = outcome(restarting_evaluate_steps, cold, t, 100)
+        assert expected[1] == steps or expected[0] is StuckTerm
+        assert outcome(evaluate_steps, cold, t, 100) == expected
+        assert outcome(evaluate_steps, hot, t, 100) == expected
+    names = set(NASTY)
+    for source in sources:
+        tree = ast.parse(source)
+        [match] = tree.body
+        assert isinstance(match, ast.FunctionDef) and match.name == "match"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                assert re.fullmatch(r"t|App|len|[cv]\d+", node.id), node.id
+            elif isinstance(node, ast.Constant):
+                assert node.value in names or isinstance(node.value, int) or node.value is None
+            elif isinstance(node, ast.Call):
+                assert node.func.id in ("App", "len")
 
 
 def test_evaluate_normal_form_is_fixed_point():
