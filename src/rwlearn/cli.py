@@ -17,7 +17,7 @@ from .dsl import ParseError, Problem, parse_problem
 from .learner import InduceConfig, InduceReport, induce
 from .rewrite import RewriteSystem, covers_all
 from .simplify import inline_single_rule_aux, prune_irrelevant_args
-from .terms import App, Term, Var, render_term
+from .terms import App, Term, Var, fold, render_term
 
 
 def emit_trace(events) -> str:
@@ -26,35 +26,8 @@ def emit_trace(events) -> str:
 
 
 def term_to_json(t: Term):
-    """t as nested `{"var": name}` and `{"app": head, "args": [...]}` dicts.
-
-    Built from the root down with an explicit stack, as `terms.substitute`
-    walks a term: variable and constant arguments are written in place; an
-    argument with arguments of its own opens a frame (the iterator over its
-    arguments and the list that takes their documents).
-    """
-    if t.__class__ is Var:
-        return {"var": t.name}
-    docs = []
-    root = {"app": t.head, "args": docs}
-    stack = []
-    args = iter(t.args)
-    while True:
-        for a in args:
-            if a.__class__ is Var:
-                docs.append({"var": a.name})
-            elif a.args:
-                sub = []
-                docs.append({"app": a.head, "args": sub})
-                stack.append((args, docs))
-                args, docs = iter(a.args), sub
-                break
-            else:
-                docs.append({"app": a.head, "args": []})
-        else:
-            if not stack:
-                return root
-            args, docs = stack.pop()
+    """t as nested `{"var": name}` and `{"app": head, "args": [...]}` dicts, by `terms.fold`."""
+    return fold(t, lambda v: {"var": v.name}, lambda u, docs: {"app": u.head, "args": docs})
 
 
 def term_from_json(doc) -> Term:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .terms import App, Term, Var
+from .terms import App, Term, Var, fold
 
 
 def hot_entry(lhs: App, rhs: Term, shape) -> tuple:
@@ -96,33 +96,18 @@ def matcher_source(lhs: App, parts: dict) -> tuple:
         constants[name] = term
         return name
 
+    def build(node: App, done: list):
+        """The constant node itself when its arguments are, else the local that holds it."""
+        if all(d.__class__ is App for d in done):
+            return node
+        built = next(locals_)
+        args = "".join(f"{d if d.__class__ is str else constant(d)}, " for d in done)
+        lines.append(f"    {built} = App({node.head!r}, ({args}))")
+        return built
+
     items = []
     for key, part in parts.items():
-        if part.__class__ is Var:
-            items.append(f"{key!r}: {image[part.name]}")
-            continue
-        # one frame per node, with the locals or constants of its arguments so far
-        frames = [(part, [])]
-        while frames:
-            node, done = frames[-1]
-            if len(done) < len(node.args):
-                arg = node.args[len(done)]
-                if arg.__class__ is Var:
-                    done.append(image[arg.name])
-                elif arg.args:
-                    frames.append((arg, []))
-                else:
-                    done.append(arg)
-                continue
-            frames.pop()
-            if all(d.__class__ is App for d in done):
-                built = node
-            else:
-                built = next(locals_)
-                args = "".join(f"{d if d.__class__ is str else constant(d)}, " for d in done)
-                lines.append(f"    {built} = App({node.head!r}, ({args}))")
-            if frames:
-                frames[-1][1].append(built)
+        built = fold(part, lambda v: image[v.name], build)
         items.append(f"{key!r}: {built if built.__class__ is str else constant(built)}")
     lines.append(f"    return {{{', '.join(items)}}}")
     return "\n".join(lines) + "\n", constants

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import is_not
 
-from .terms import (App, IOEquation, Term, Var, match_pattern, render_term, same_term, substitute,
-                    subterms)
+from .terms import (App, IOEquation, Term, Var, fold, match_pattern, render_term, same_term,
+                    substitute, subterms)
 
 
 class EvalError(Exception):
@@ -195,27 +195,13 @@ def redex_skeleton(rhs: Term, defined) -> tuple | None:
     keeps its head and the shapes of its arguments.  None when all of rhs is
     `NORMAL`: its instance is a normal form as it stands.
     """
-    if rhs.__class__ is Var:
-        return None
-    # one frame per App, with the shapes of its arguments done so far
-    frames = [(rhs, [])]
-    while True:
-        node, shapes = frames[-1]
-        if len(shapes) < len(node.args):
-            arg = node.args[len(shapes)]
-            if arg.__class__ is Var:
-                shapes.append(NORMAL)
-            else:
-                frames.append((arg, []))
-            continue
-        frames.pop()
-        if all(shape is NORMAL for shape in shapes):
-            shape = App(node.head) if node.head in defined else NORMAL
-        else:
-            shape = App(node.head, tuple(shapes))
-        if not frames:
-            return None if shape is NORMAL else shape.args
-        frames[-1][1].append(shape)
+    def shape(u: App, shapes: list):
+        if all(sub is NORMAL for sub in shapes):
+            return App(u.head) if u.head in defined else NORMAL
+        return App(u.head, tuple(shapes))
+
+    skeleton = fold(rhs, lambda v: NORMAL, shape)
+    return None if skeleton is NORMAL else skeleton.args
 
 
 # A system turns hot once its evaluate_steps calls have taken this many

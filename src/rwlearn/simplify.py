@@ -9,7 +9,7 @@ user-facing target) are never changed in arity or removed.
 from __future__ import annotations
 
 from .rewrite import RewriteSystem, Rule
-from .terms import App, Signature, Term, Var, substitute, subterms
+from .terms import App, Signature, Term, Var, fold, substitute, subterms
 
 
 def prune_irrelevant_args(sys: RewriteSystem, keep=()) -> RewriteSystem:
@@ -22,50 +22,39 @@ def prune_irrelevant_args(sys: RewriteSystem, keep=()) -> RewriteSystem:
     rewritten in one pass.
     """
     keep = set(keep)
-    irrelevant: set[tuple] = {
-        (sig.name, j)
-        for sig in sys.signatures
-        if sig.name not in keep
-        for j in range(sig.arity)
-    }
+    irrelevant: set[tuple] = {(sig.name, j) for sig in sys.signatures if sig.name not in keep
+                              for j in range(sig.arity)}
 
-    def occurs_outside_irrelevant(var: str, t: Term) -> bool:
-        if isinstance(t, Var):
-            return t.name == var
-        for j, a in enumerate(t.args):
-            if sys.is_defined(t.head) and (t.head, j) in irrelevant:
-                continue
-            if occurs_outside_irrelevant(var, a):
-                return True
-        return False
+    def used(u: App, names: list) -> set:
+        """The variables of u outside the irrelevant argument positions of defined calls."""
+        if sys.is_defined(u.head):
+            names = [n for j, n in enumerate(names) if (u.head, j) not in irrelevant]
+        # each set is fresh and has one parent, so the largest takes in the rest
+        out = max(names, key=len, default=set())
+        out.update(*(n for n in names if n is not out))
+        return out
 
     changed = True
     while changed:
         changed = False
         for rule in sys.rules:
-            for j, pat in enumerate(rule.lhs.args):
-                if (rule.lhs.head, j) not in irrelevant:
-                    continue
-                relevant = (not isinstance(pat, Var)
-                            or occurs_outside_irrelevant(pat.name, rule.rhs))
-                if relevant:
-                    irrelevant.discard((rule.lhs.head, j))
+            head, pats = rule.lhs.head, rule.lhs.args
+            if not any((head, j) in irrelevant for j in range(len(pats))):
+                continue
+            outside = fold(rule.rhs, lambda v: {v.name}, used)
+            for j, pat in enumerate(pats):
+                if (head, j) in irrelevant and (pat.__class__ is App or pat.name in outside):
+                    irrelevant.discard((head, j))
                     changed = True
 
     if not irrelevant:
         return sys
 
-    def strip(t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        args = tuple(
-            strip(a)
-            for j, a in enumerate(t.args)
-            if (t.head, j) not in irrelevant
-        )
-        return App(t.head, args)
+    def strip(u: App, args) -> App:
+        return App(u.head, tuple(a for j, a in enumerate(args) if (u.head, j) not in irrelevant))
 
-    rules = [Rule(strip(r.lhs), strip(r.rhs)) for r in sys.rules]
+    # below its root an lhs holds no defined symbol
+    rules = [Rule(strip(r.lhs, r.lhs.args), fold(r.rhs, lambda v: v, strip)) for r in sys.rules]
     signatures = [
         Signature(s.name,
                   tuple(d for j, d in enumerate(s.domain) if (s.name, j) not in irrelevant),
@@ -105,15 +94,12 @@ def inline_single_rule_aux(sys: RewriteSystem, keep=()) -> RewriteSystem:
         sig, rule = target
         params = [p.name for p in rule.lhs.args]
 
-        def expand(t: Term) -> Term:
-            if isinstance(t, Var):
-                return t
-            args = tuple(expand(a) for a in t.args)
-            if t.head == sig.name:
+        def expand(u: App, args: list) -> Term:
+            if u.head == sig.name:
                 return substitute(rule.rhs, dict(zip(params, args)))
-            return App(t.head, args)
+            return App(u.head, tuple(args))
 
-        rules = [r if r is rule else Rule(r.lhs, expand(r.rhs)) for r in rules]
+        rules = [r if r is rule else Rule(r.lhs, fold(r.rhs, lambda v: v, expand)) for r in rules]
         rules.remove(rule)
         signatures.remove(sig)
     return RewriteSystem(rules, signatures)

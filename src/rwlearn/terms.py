@@ -117,6 +117,35 @@ def subterms(t: Term):
             stack.extend(reversed(u.args))
 
 
+def fold(t: Term, leaf, node):
+    """t folded bottom-up on an explicit stack: `leaf(v)` for a variable v, and
+    `node(u, values)` for an App u, values being the list of its folded arguments.
+
+    Arguments are folded left to right, each before the App above it.  Only
+    an argument with arguments of its own opens a frame.
+    """
+    if t.__class__ is Var:
+        return leaf(t)
+    stack = []
+    u, args, values = t, iter(t.args), []
+    while True:
+        for a in args:
+            if a.__class__ is Var:
+                values.append(leaf(a))
+            elif a.args:
+                stack.append((u, args, values))
+                u, args, values = a, iter(a.args), []
+                break
+            else:
+                values.append(node(a, []))
+        else:
+            value = node(u, values)
+            if not stack:
+                return value
+            u, args, values = stack.pop()
+            values.append(value)
+
+
 def substitute(t: Term, subst: Substitution) -> Term:
     """t with each variable in subst replaced by its image, built with an explicit stack.
 

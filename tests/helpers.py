@@ -17,6 +17,7 @@ from rwlearn.terms import (
     App,
     ConstructorAlt,
     IOEquation,
+    Signature,
     SortEnv,
     Var,
     match_pattern,
@@ -220,12 +221,109 @@ def recursive_term_to_json(t):
     return {"app": t.head, "args": [recursive_term_to_json(a) for a in t.args]}
 
 
-def _rewrite_innermost(system, t):
-    """One leftmost-innermost step from the root; the new term, or None when t is normal."""
-    if isinstance(t, Var):
+def recursive_redex_skeleton(rhs, defined):
+    """`rewrite.redex_skeleton` as a recursive function of the rhs."""
+    def shape(t):
+        if isinstance(t, Var):
+            return rewrite.NORMAL
+        shapes = tuple(shape(a) for a in t.args)
+        if all(sub is rewrite.NORMAL for sub in shapes):
+            return App(t.head) if t.head in defined else rewrite.NORMAL
+        return App(t.head, shapes)
+
+    skeleton = shape(rhs)
+    return None if skeleton is rewrite.NORMAL else skeleton.args
+
+
+def recursive_prune_irrelevant_args(sys, keep=()):
+    """`simplify.prune_irrelevant_args` with recursive walkers, one occurrence check per position."""
+    keep = set(keep)
+    irrelevant = {(sig.name, j) for sig in sys.signatures if sig.name not in keep
+                  for j in range(sig.arity)}
+
+    def occurs_outside_irrelevant(var, t):
+        if isinstance(t, Var):
+            return t.name == var
+        for j, a in enumerate(t.args):
+            if sys.is_defined(t.head) and (t.head, j) in irrelevant:
+                continue
+            if occurs_outside_irrelevant(var, a):
+                return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for rule in sys.rules:
+            for j, pat in enumerate(rule.lhs.args):
+                if (rule.lhs.head, j) not in irrelevant:
+                    continue
+                if not isinstance(pat, Var) or occurs_outside_irrelevant(pat.name, rule.rhs):
+                    irrelevant.discard((rule.lhs.head, j))
+                    changed = True
+    if not irrelevant:
+        return sys
+
+    def strip(t):
+        if isinstance(t, Var):
+            return t
+        return App(t.head, tuple(strip(a) for j, a in enumerate(t.args)
+                                 if (t.head, j) not in irrelevant))
+
+    signatures = [Signature(s.name, tuple(d for j, d in enumerate(s.domain)
+                                          if (s.name, j) not in irrelevant), s.range)
+                  for s in sys.signatures]
+    return RewriteSystem([Rule(strip(r.lhs), strip(r.rhs)) for r in sys.rules], signatures)
+
+
+def recursive_inline_single_rule_aux(sys, keep=()):
+    """`simplify.inline_single_rule_aux` with a recursive call expander."""
+    keep = set(keep)
+    rules = list(sys.rules)
+    signatures = list(sys.signatures)
+    while True:
+        target = None
+        for sig in signatures:
+            own = [r for r in rules if r.lhs.head == sig.name]
+            if sig.name in keep or len(own) != 1:
+                continue
+            pats = own[0].lhs.args
+            callers = [r for r in rules
+                       if any(isinstance(u, App) and u.head == sig.name for u in subterms(r.rhs))]
+            if (callers and own[0] not in callers and all(isinstance(p, Var) for p in pats)
+                    and len({p.name for p in pats}) == len(pats)):
+                target = (sig, own[0])
+                break
+        if target is None:
+            return RewriteSystem(rules, signatures)
+        sig, rule = target
+        params = [p.name for p in rule.lhs.args]
+
+        def expand(t):
+            if isinstance(t, Var):
+                return t
+            args = tuple(expand(a) for a in t.args)
+            if t.head == sig.name:
+                return closure_substitute(rule.rhs, dict(zip(params, args)))
+            return App(t.head, args)
+
+        rules = [r if r is rule else Rule(r.lhs, expand(r.rhs)) for r in rules]
+        rules.remove(rule)
+        signatures.remove(sig)
+
+
+def _rewrite_innermost(system, t, normal):
+    """One leftmost-innermost step from the root; the new term, or None when t is normal.
+
+    normal maps the id of each node found normal so far to the node.  Terms
+    are immutable, so a node shared by several arguments, as a rule with a
+    repeated rhs variable makes, is searched once: the tree of a term whose
+    graph grows by a node per step may grow exponentially.
+    """
+    if isinstance(t, Var) or id(t) in normal:
         return None
     for i, a in enumerate(t.args):
-        new = _rewrite_innermost(system, a)
+        new = _rewrite_innermost(system, a, normal)
         if new is not None:
             return App(t.head, t.args[:i] + (new,) + t.args[i + 1:])
     if system.is_defined(t.head):
@@ -234,6 +332,7 @@ def _rewrite_innermost(system, t):
             if binding is not None:
                 return closure_substitute(rule.rhs, binding)
         raise StuckTerm(t)
+    normal[id(t)] = t
     return None
 
 
@@ -244,8 +343,9 @@ def restarting_evaluate_steps(system, t, step_limit: int = 10000):
     the recursive oracles above, not by the kernels under test.
     """
     steps = 0
+    normal = {}
     while True:
-        new = _rewrite_innermost(system, t)
+        new = _rewrite_innermost(system, t, normal)
         if new is None:
             return t, steps
         steps += 1

@@ -3,22 +3,30 @@
 import contextlib
 import io
 import json
+import traceback
 from sys import getrecursionlimit
 
 import pytest
 
 from rwlearn import parse_problem
 from rwlearn.cli import main, run_problem, term_from_json, term_to_json
+from rwlearn.dsl import parse_term
 from rwlearn.rewrite import Rule
-from rwlearn.terms import App, Var
+from rwlearn.terms import App, Var, render_term
 
-from helpers import PROBLEMS
+from helpers import PROBLEMS, canonical_rules, lst, nat
 
 
 def run_main(*argv):
+    """(exit code, stdout, stderr) of the CLI; an uncaught exception exits 1 with
+    its traceback on stderr, as it does from the command line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except Exception:
+            traceback.print_exc()
+            code = 1
     return code, out.getvalue(), err.getvalue()
 
 
@@ -172,30 +180,157 @@ def test_non_integer_flag_exits_2_naming_the_flag(flag, expected):
     assert f"argument {flag}: {expected}\n" in err.getvalue()
 
 
-@pytest.mark.parametrize("depth, flags", [(300, ["--no-trace"]), (400, ["--no-trace"]),
-                                          (400, []),
-                                          (10 * getrecursionlimit(),
-                                           ["--step-limit", "100000", "--json"])])
-def test_deep_example_is_learned(tmp_path, depth, flags):
-    # parsing, sort checks, evaluation, coverage, trace text and the JSON
-    # report must not depend on the recursion limit
-    text = (PROBLEMS / "add.tl").read_text()
-    deep = tmp_path / "add.tl"
-    example = f"add({'s(' * depth}0{')' * depth},s(0))={'s(' * (depth + 1)}0{')' * (depth + 1)}"
-    deep.write_text(text.replace("learn add", f"ex {example} ;\nlearn add"))
+def degenerate_tree(n: int, side: str) -> App:
+    """A tree of n nodes, each with a leaf on the side other than `side`."""
+    t = App("nl")
+    for i in range(n):
+        kids = (t, App("nl")) if side == "left" else (App("nl"), t)
+        t = App("nd", (kids[0], Var(f"e{i}"), kids[1]))
+    return t
+
+
+def tree_nodes(t: App) -> int:
+    n, todo = 0, [t]
+    while todo:
+        u = todo.pop()
+        if u.head == "nd":
+            n += 1
+            todo += (u.args[0], u.args[2])
+    return n
+
+
+# the lhs arguments of each deep example, as Python values, and the reference
+# that gives its rhs: an int is a natural, a list one of element variables
+DEEP_INPUTS = {
+    "add": lambda d: [(d, 1)],
+    "dup": lambda d: [(d,)],
+    "lgth": lambda d: [([f"e{i}" for i in range(d)],)],
+    "rev": lambda d: [([f"e{i}" for i in range(d)],)],
+    "size": lambda d: [(degenerate_tree(d, "left"),), (degenerate_tree(d, "right"),)],
+}
+REFERENCE = {"add": lambda a, b: a + b, "dup": lambda n: 2 * n, "lgth": len,
+             "rev": lambda xs: xs[::-1], "size": tree_nodes}
+
+
+def encode(value):
+    if isinstance(value, int):
+        return nat(value)
+    return lst(*map(Var, value)) if isinstance(value, list) else value
+
+
+def deep_variant(tmp_path, name: str, depth: int):
+    """The seed problem with deep examples added, and the first of them as text."""
+    examples = [f"{render_term(App(name, tuple(map(encode, args))))}="
+                f"{render_term(encode(REFERENCE[name](*args)))}"
+                for args in DEEP_INPUTS[name](depth)]
+    text = (PROBLEMS / f"{name}.tl").read_text()
+    added = "".join(f"ex {e} ;\n" for e in examples)
+    path = tmp_path / f"{name}_{depth}.tl"
+    path.write_text(text.replace(f"learn {name}", added + f"learn {name}"))
+    return path, examples[0]
+
+
+def outcome(out: str) -> str:
+    """The printed definitions of a run that succeeds, else its failure line."""
+    if "FUNCTION DEFINITIONS:" in out:
+        return out[out.index("FUNCTION DEFINITIONS:"):]
+    return next(line for line in out.splitlines() if line.startswith("SYNTHESIS FAILED:"))
+
+
+def printed_rules(out: str, env) -> list:
+    """The rules under FUNCTION DEFINITIONS in a report."""
+    lines = outcome(out).splitlines()[1:]
+    fns = {line[:line.index("(")] for line in lines}
+    return [Rule(*(parse_term(side, env, fns) for side in line.split("="))) for line in lines]
+
+
+def rules_of(report) -> list:
+    """The rules of a JSON report."""
+    return [Rule(term_from_json(r["lhs"]), term_from_json(r["rhs"]))
+            for r in json.loads(report.read_text())["rules"]]
+
+
+DEEP = 10 * getrecursionlimit()
+LONG = ["--step-limit", "100000", "--json"]
+
+
+# "seed": the run learns the seed problem's system, up to the names of
+# variables and auxiliaries, or fails for the seed run's reason.  A
+# degenerate tree needs examples of its subtrees, so plain `size` fails from
+# depth 5 on.  The systems learned for rev, and for size under --depth 3,
+# take steps quadratic in the input's length: at depth 10,000 coverage runs
+# out of steps and the run ends in a named failure.  At depth 1,200 and a
+# 10,000,000-step limit both learn the seed system, in 36 s and 21 s.
+@pytest.mark.parametrize("name, flags, depth, expected", [
+    ("add", ["--no-trace"], 300, "seed"),
+    ("add", ["--no-trace"], 400, "seed"),
+    ("add", [], 400, "seed"),
+    ("add", LONG, DEEP, "seed"),
+    ("size", LONG, DEEP, "underivable-aux-examples"),
+    ("size", ["--depth", "3", *LONG], DEEP, "underivable-aux-examples"),
+    ("size", ["--depth", "2", *LONG], DEEP, "seed"),
+    ("rev", LONG, DEEP, "underivable-aux-examples"),
+    ("dup", LONG, DEEP, "seed"),
+    ("dup", ["--inline", "--whole-set-lgg", *LONG], DEEP, "seed"),
+    ("lgth", ["--inline", "--whole-set-lgg", *LONG], DEEP, "seed"),
+])
+def test_deep_example_is_learned(tmp_path, name, flags, depth, expected):
+    # parsing, sort checks, lgg, auxiliary derivation, evaluation, coverage,
+    # simplification, trace text and the JSON report must not depend on the
+    # recursion limit
+    path, example = deep_variant(tmp_path, name, depth)
     report = tmp_path / "report.json"
-    code, out, err = run_main(str(deep), *flags, *([str(report)] if "--json" in flags else []))
-    assert code == 0
+    code, out, err = run_main(str(path), *flags, *([str(report)] if "--json" in flags else []))
+    assert "Traceback" not in err
     assert (example in err) == ("--no-trace" not in flags)
-    _, plain, _ = run_main(str(PROBLEMS / "add.tl"), "--no-trace")
-    definitions = out[out.index("FUNCTION DEFINITIONS:"):]
-    assert definitions == plain[plain.index("FUNCTION DEFINITIONS:"):]
+    if expected != "seed":
+        assert (code, outcome(out)) == (1, f"SYNTHESIS FAILED: {expected}")
+    else:
+        seed = tmp_path / "seed.json"
+        seed_code, seed_out, _ = run_main(str(PROBLEMS / f"{name}.tl"), "--no-trace",
+                                          *[f for f in flags if f not in LONG], "--json", str(seed))
+        assert code == seed_code
+        if code:
+            assert outcome(out) == outcome(seed_out)
+        else:
+            env = parse_problem(path.read_text()).sort_env
+            fixed = {name, *env.symbols()}
+            assert canonical_rules(printed_rules(out, env), fixed) == \
+                canonical_rules(rules_of(seed), fixed)
     if "--json" in flags:
         doc = json.loads(report.read_text())
-        assert doc["success"]
-        rules = [Rule(term_from_json(r["lhs"]), term_from_json(r["rhs"])).render()
-                 for r in doc["rules"]]
-        assert rules == definitions.splitlines()[1:]
+        assert doc["success"] == (code == 0)
+        if code == 0:
+            assert [rule.render() for rule in rules_of(report)] == outcome(out).splitlines()[1:]
+        else:
+            assert f"SYNTHESIS FAILED: {doc['failure']['reason']}" == outcome(out)
+
+
+@pytest.mark.parametrize("flags", [[], ["--inline"]])
+def test_learned_rule_with_a_deep_constant(tmp_path, flags):
+    # the learned rules hold the deep natural N, so pruning and inlining walk
+    # terms deeper than the recursion limit
+    n = 10 * getrecursionlimit()
+
+    def nat_text(k, zero="0"):
+        return "s(" * k + zero + ")" * k
+
+    big = nat_text(n)
+    problem = tmp_path / "len2.tl"
+    problem.write_text("sort list = nil | cons(nat, list) ;\n"
+                       "sort nat = 0 | s(nat) ;\n"
+                       "fun len2 : list, nat -> nat ;\n"
+                       f"ex len2(nil, {big}) = {big} ;\n"
+                       f"ex len2(cons(a, nil), {big}) = s({big}) ;\n"
+                       f"ex len2(cons(a, cons(b, nil)), {big}) = s(s({big})) ;\n"
+                       "learn len2 ;\n")
+    code, out, err = run_main(str(problem), *flags)
+    assert code == 0
+    assert "Traceback" not in err and err.startswith("induce(len2)\n")
+    assert outcome(out).splitlines()[1:] == [
+        f"len2(nil,{big})={big}",
+        "len2(cons(v4,v5),v3)=f6(v3,len2(v5,v3))",
+        f"f6({big},{nat_text(n, 'v7')})={nat_text(n + 1, 'v7')}"]
 
 
 def test_long_lists_of_one_shape_fail_with_a_reason(tmp_path):

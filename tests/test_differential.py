@@ -18,6 +18,10 @@ the same key order, and `terms.substitute` the instance that
 which looks each recursive call up by renaming key, must return what
 `scan_derive_aux_examples` returns by trying every example, in the same order;
 `terms.renaming_key` must agree with `terms.renaming_match`.
+`simplify.prune_irrelevant_args`, `simplify.inline_single_rule_aux` and
+`rewrite.redex_skeleton`, which walk terms by `terms.fold`, must give what the
+recursive walkers `recursive_prune_irrelevant_args`,
+`recursive_inline_single_rule_aux` and `recursive_redex_skeleton` give.
 The one-scan tokenizer of `dsl` must give the tokens, lines and columns, or
 the error, of `line_column_tokenize`; `cli.term_to_json` the document of
 `recursive_term_to_json`, which `cli.term_from_json` reads back; and the JSON
@@ -44,6 +48,7 @@ from rwlearn.rewrite import (
     StuckTerm,
     covers_all,
     evaluate_steps,
+    redex_skeleton,
 )
 from rwlearn.simplify import inline_single_rule_aux, prune_irrelevant_args
 from rwlearn.terms import (
@@ -71,6 +76,9 @@ from helpers import (
     outcome,
     random_term,
     rebuilt,
+    recursive_inline_single_rule_aux,
+    recursive_prune_irrelevant_args,
+    recursive_redex_skeleton,
     recursive_term_to_json,
     restarting_evaluate_steps,
     run_file,
@@ -168,15 +176,20 @@ def random_small_term(height, rng, symbols, var_names, var_p=0.25):
                            for _ in range(symbols[head])))
 
 
-def random_system(rng) -> RewriteSystem:
-    """Up to six rules in random order: often stuck somewhere, sometimes non-terminating."""
+def random_system(rng, pattern_height=3, var_p=0.25) -> RewriteSystem:
+    """Up to six rules in random order: often stuck somewhere, sometimes non-terminating.
+
+    With pattern_height 1 every lhs argument is a variable; var_p is the
+    share of rhs positions that hold a variable.
+    """
     rules = []
     for _ in range(rng.randint(1, 6)):
         head = rng.choice(list(DEFINED))
         names = iter(f"x{i}" for i in range(100))
-        lhs = App(head, tuple(random_pattern(3, rng, lambda: next(names))
+        lhs = App(head, tuple(random_pattern(pattern_height, rng, lambda: next(names))
                               for _ in range(DEFINED[head])))
-        rhs = random_small_term(rng.randint(1, 5), rng, {**CTORS, **DEFINED}, term_vars(lhs))
+        rhs = random_small_term(rng.randint(1, 5), rng, {**CTORS, **DEFINED}, term_vars(lhs),
+                                var_p)
         rules.append(Rule(lhs, rhs))
     sigs = [Signature(h, ("t",) * n, "t") for h, n in DEFINED.items()]
     return RewriteSystem(rules, sigs)
@@ -294,6 +307,61 @@ def test_random_systems_reach_every_skeleton_shape():
     assert all(shapes.values()), shapes
     # the rarest shape, and the one a walk most easily leaves uninstantiated
     assert shapes["compound normal beside a call"] >= 30, shapes
+
+
+def assert_simplified_as_the_oracles(system, keep):
+    for simplify, oracle in ((prune_irrelevant_args, recursive_prune_irrelevant_args),
+                             (inline_single_rule_aux, recursive_inline_single_rule_aux)):
+        got, expected = simplify(system, keep), oracle(system, keep)
+        assert (got.rules, got.signatures) == (expected.rules, expected.signatures)
+    for rule in system.rules:
+        assert (redex_skeleton(rule.rhs, system.sig_by_name)
+                == recursive_redex_skeleton(rule.rhs, system.sig_by_name))
+
+
+def cleanup_system(rng) -> RewriteSystem:
+    """A random system drawn for pruning and inlining: variable patterns, and
+    right-hand sides that often hold several of them side by side."""
+    system = random_system(rng, pattern_height=rng.choice([1, 3]), var_p=0.5)
+    symbols = {**CTORS, **DEFINED}
+    return RewriteSystem(
+        [rule if rng.random() < 0.5 else
+         Rule(rule.lhs, App(rng.choice(["p", "g"]), (
+             rule.rhs, random_small_term(2, rng, symbols, term_vars(rule.lhs), 0.7))))
+         for rule in system.rules], system.signatures)
+
+
+# a draw that tells a variable lost beside another apart is rare: about 1 in 30
+@settings(max_examples=400)
+@given(st.integers(0, 10**9))
+def test_simplification_and_skeletons_agree_with_the_recursive_walkers(seed):
+    rng = random.Random(seed)
+    system = random_system(rng) if rng.random() < 0.3 else cleanup_system(rng)
+    assert_simplified_as_the_oracles(system, set(rng.sample(sorted(DEFINED), rng.randint(0, 2))))
+
+
+@given(st.integers(0, 10**9))
+def test_simplification_and_skeletons_agree_with_the_recursive_walkers_on_seed_systems(
+        seed_systems, seed):
+    rng = random.Random(seed)
+    problem, system = rng.choice(seed_systems)
+    others = sorted(s.name for s in system.signatures if s.name != problem.target)
+    keep = {problem.target, *rng.sample(others, rng.randint(0, len(others)))}
+    assert_simplified_as_the_oracles(system, keep)
+
+
+def test_random_systems_reach_every_simplification():
+    # the property above is vacuous unless pruning drops positions, keeps some
+    # of a pruned symbol's, and inlining removes auxiliaries
+    seen = {"pruned": 0, "partly pruned": 0, "inlined": 0}
+    for seed in range(300):
+        system = cleanup_system(random.Random(seed))
+        arity = {s.name: s.arity for s in system.signatures}
+        pruned = {s.name: s.arity for s in prune_irrelevant_args(system).signatures}
+        seen["pruned"] += pruned != arity
+        seen["partly pruned"] += any(0 < pruned[h] < arity[h] for h in arity)
+        seen["inlined"] += len(inline_single_rule_aux(system).signatures) < len(arity)
+    assert all(seen.values()), seen
 
 
 class CountingTable(dict):

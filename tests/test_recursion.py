@@ -12,13 +12,9 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rwlearn"
 
-NOT_YET = "ROADMAP item 18: not yet on a stack"
 ALLOWED = {
     "learner._induce": "one call per auxiliary layer: its depth is bounded by "
                        "max_recursion_depth and by strictly shrinking example sets",
-    "simplify.prune_irrelevant_args.occurs_outside_irrelevant": NOT_YET,
-    "simplify.prune_irrelevant_args.strip": NOT_YET,
-    "simplify.inline_single_rule_aux.expand": NOT_YET,
 }
 
 

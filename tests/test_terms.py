@@ -1,6 +1,7 @@
 """Unit tests for terms, sorts, matching and sort inference."""
 
 import random
+from sys import getrecursionlimit
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from rwlearn.terms import (
     UnknownSymbol,
     Var,
     classify_args,
+    fold,
     infer_variable_sorts,
     match_pattern,
     render_term,
@@ -93,6 +95,45 @@ def test_render_term():
 def test_subterms_preorder():
     t = App("s", (App("s", (App("0"),)),))
     assert list(subterms(t)) == [t, t.args[0], App("0")]
+
+
+def fold_events(t):
+    """The calls fold makes on t, in order, with the values node receives."""
+    events = []
+
+    def leaf(v):
+        events.append(("leaf", v.name))
+        return v.name
+
+    def node(u, values):
+        events.append(("node", u.head, list(values)))
+        return f"{u.head}{values}"
+
+    return fold(t, leaf, node), events
+
+
+def test_fold_of_a_variable_root_is_its_leaf():
+    assert fold_events(Var("x")) == ("x", [("leaf", "x")])
+
+
+def test_fold_of_a_constant_root_gives_node_no_values():
+    assert fold_events(App("nil")) == ("nil[]", [("node", "nil", [])])
+
+
+def test_fold_visits_arguments_left_to_right_before_their_app():
+    value, events = fold_events(App("p", (Var("x"), App("s", (App("0"),)), Var("y"))))
+    assert events == [("leaf", "x"), ("node", "0", []), ("node", "s", ["0[]"]), ("leaf", "y"),
+                      ("node", "p", ["x", "s['0[]']", "y"])]
+    assert value == "p['x', \"s['0[]']\", 'y']"
+
+
+def test_fold_is_not_bounded_by_the_recursion_limit():
+    depth = 10 * getrecursionlimit()
+    t = Var("x")
+    for i in range(depth):
+        t = App("p", (App("0"), t)) if i % 2 else App("s", (t,))
+    assert fold(t, lambda v: 0, lambda u, values: 1 + max(values, default=0)) == depth
+    assert fold(t, lambda v: v, lambda u, values: App(u.head, tuple(values))) == t
 
 
 def test_sort_env_rejects_duplicate_constructor():
