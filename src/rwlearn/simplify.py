@@ -22,8 +22,12 @@ def prune_irrelevant_args(sys: RewriteSystem, keep=()) -> RewriteSystem:
     rewritten in one pass.
     """
     keep = set(keep)
-    irrelevant: set[tuple] = {(sig.name, j) for sig in sys.signatures if sig.name not in keep
-                              for j in range(sig.arity)}
+    irrelevant: set[tuple] = {
+        (sig.name, j)
+        for sig in sys.signatures
+        if sig.name not in keep
+        for j in range(sig.arity)
+    }
 
     def used(u: App, names: list) -> set:
         """The variables of u outside the irrelevant argument positions of defined calls."""

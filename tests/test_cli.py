@@ -10,7 +10,6 @@ import pytest
 
 from rwlearn import parse_problem
 from rwlearn.cli import main, run_problem, term_from_json, term_to_json
-from rwlearn.dsl import parse_term
 from rwlearn.rewrite import Rule
 from rwlearn.terms import App, Var, render_term
 
@@ -18,16 +17,19 @@ from helpers import PROBLEMS, canonical_rules, lst, nat
 
 
 def run_main(*argv):
-    """(exit code, stdout, stderr) of the CLI; an uncaught exception exits 1 with
-    its traceback on stderr, as it does from the command line."""
+    """(exit code, stdout, stderr) of the CLI.
+
+    An exception that escapes `main` fails the test with the last frames of
+    its traceback, outside the handler: pytest takes minutes to print a deep
+    RecursionError whole, also as the context of the failure.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
+            return main(list(argv)), out.getvalue(), err.getvalue()
         except Exception:
-            traceback.print_exc()
-            code = 1
-    return code, out.getvalue(), err.getvalue()
+            failure = traceback.format_exc(limit=-8)
+    pytest.fail(failure, pytrace=False)
 
 
 def test_successful_run_prints_report_blocks():
@@ -237,13 +239,6 @@ def outcome(out: str) -> str:
     return next(line for line in out.splitlines() if line.startswith("SYNTHESIS FAILED:"))
 
 
-def printed_rules(out: str, env) -> list:
-    """The rules under FUNCTION DEFINITIONS in a report."""
-    lines = outcome(out).splitlines()[1:]
-    fns = {line[:line.index("(")] for line in lines}
-    return [Rule(*(parse_term(side, env, fns) for side in line.split("="))) for line in lines]
-
-
 def rules_of(report) -> list:
     """The rules of a JSON report."""
     return [Rule(term_from_json(r["lhs"]), term_from_json(r["rhs"]))
@@ -254,25 +249,32 @@ DEEP = 10 * getrecursionlimit()
 LONG = ["--step-limit", "100000", "--json"]
 
 
-# "seed": the run learns the seed problem's system, up to the names of
-# variables and auxiliaries, or fails for the seed run's reason.  A
+# rev and size --depth 3 learn systems that take steps quadratic in the
+# input's length: at depth 10,000 coverage runs out of steps and the run
+# fails.  At depth 1,200 and a 10,000,000-step limit both learn the seed
+# system, in 36 s and 21 s.  A crash is not an AssertionError, so it still fails.
+QUADRATIC = pytest.mark.xfail(raises=AssertionError, strict=True,
+                              reason="coverage runs out of --step-limit at depth 10,000")
+
+
+# "seed": the run prints the seed run's definitions, or fails for the seed
+# run's reason.  "renamed": it learns the seed system up to the names of
+# variables and auxiliaries, as the lgth variant's extra example shifts the
+# fresh-variable numbers.  Otherwise the reason the run fails for: a
 # degenerate tree needs examples of its subtrees, so plain `size` fails from
-# depth 5 on.  The systems learned for rev, and for size under --depth 3,
-# take steps quadratic in the input's length: at depth 10,000 coverage runs
-# out of steps and the run ends in a named failure.  At depth 1,200 and a
-# 10,000,000-step limit both learn the seed system, in 36 s and 21 s.
+# depth 5 on, whatever the step limit.
 @pytest.mark.parametrize("name, flags, depth, expected", [
     ("add", ["--no-trace"], 300, "seed"),
     ("add", ["--no-trace"], 400, "seed"),
     ("add", [], 400, "seed"),
     ("add", LONG, DEEP, "seed"),
     ("size", LONG, DEEP, "underivable-aux-examples"),
-    ("size", ["--depth", "3", *LONG], DEEP, "underivable-aux-examples"),
+    pytest.param("size", ["--depth", "3", *LONG], DEEP, "seed", marks=QUADRATIC),
     ("size", ["--depth", "2", *LONG], DEEP, "seed"),
-    ("rev", LONG, DEEP, "underivable-aux-examples"),
+    pytest.param("rev", LONG, DEEP, "seed", marks=QUADRATIC),
     ("dup", LONG, DEEP, "seed"),
     ("dup", ["--inline", "--whole-set-lgg", *LONG], DEEP, "seed"),
-    ("lgth", ["--inline", "--whole-set-lgg", *LONG], DEEP, "seed"),
+    ("lgth", ["--inline", "--whole-set-lgg", *LONG], DEEP, "renamed"),
 ])
 def test_deep_example_is_learned(tmp_path, name, flags, depth, expected):
     # parsing, sort checks, lgg, auxiliary derivation, evaluation, coverage,
@@ -283,20 +285,19 @@ def test_deep_example_is_learned(tmp_path, name, flags, depth, expected):
     code, out, err = run_main(str(path), *flags, *([str(report)] if "--json" in flags else []))
     assert "Traceback" not in err
     assert (example in err) == ("--no-trace" not in flags)
-    if expected != "seed":
-        assert (code, outcome(out)) == (1, f"SYNTHESIS FAILED: {expected}")
-    else:
-        seed = tmp_path / "seed.json"
+    if expected == "seed":
         seed_code, seed_out, _ = run_main(str(PROBLEMS / f"{name}.tl"), "--no-trace",
-                                          *[f for f in flags if f not in LONG], "--json", str(seed))
-        assert code == seed_code
-        if code:
-            assert outcome(out) == outcome(seed_out)
-        else:
-            env = parse_problem(path.read_text()).sort_env
-            fixed = {name, *env.symbols()}
-            assert canonical_rules(printed_rules(out, env), fixed) == \
-                canonical_rules(rules_of(seed), fixed)
+                                          *[f for f in flags if f not in LONG])
+        assert (code, outcome(out)) == (seed_code, outcome(seed_out))
+    elif expected == "renamed":
+        seed = tmp_path / "seed.json"
+        seed_code, _, _ = run_main(str(PROBLEMS / f"{name}.tl"), "--no-trace",
+                                   *[f for f in flags if f not in LONG], "--json", str(seed))
+        assert code == seed_code == 0
+        fixed = {name, *parse_problem(path.read_text()).sort_env.symbols()}
+        assert canonical_rules(rules_of(report), fixed) == canonical_rules(rules_of(seed), fixed)
+    else:
+        assert (code, outcome(out)) == (1, f"SYNTHESIS FAILED: {expected}")
     if "--json" in flags:
         doc = json.loads(report.read_text())
         assert doc["success"] == (code == 0)
