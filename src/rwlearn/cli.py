@@ -58,54 +58,47 @@ def term_from_json(doc) -> Term:
             out.append(built)
 
 
-def export_json(report: InduceReport, problem: Problem | None = None,
+def export_json(report: InduceReport, problem: Problem,
                 system: RewriteSystem | None = None) -> dict:
     """Stable machine-readable form of a run; rules round-trip via term_from_json."""
     system = system if system is not None else report.system
-    doc = {
+    failure = report.failure
+    uncovered = [ex.render() for ex in failure.uncovered] if failure else []
+    return {
         "target": report.target,
         "success": report.success,
-        "sorts": {},
-        "signatures": [],
-        "aux_signatures": [
-            {"name": s.name, "domain": list(s.domain), "range": s.range}
-            for s in (system.signatures if system else report.aux_signatures)
-            if problem is None or s.name != report.target
-        ],
-        "rules": [],
-        "coverage": {"covered": report.success, "uncovered": []},
-        "trace": [{"level": e.level, "kind": e.kind, "text": e.text} for e in report.trace],
-        "failure": None,
-    }
-    if problem is not None:
-        doc["sorts"] = {
+        "sorts": {
             name: [{"name": alt.name, "args": list(alt.arg_sorts)} for alt in alts]
             for name, alts in problem.sort_env.sorts.items()
-        }
-        doc["signatures"] = [
+        },
+        "signatures": [
             {"name": s.name, "domain": list(s.domain), "range": s.range}
             for s in problem.signatures
-        ]
-    if system is not None:
-        doc["rules"] = [
-            {"lhs": term_to_json(r.lhs), "rhs": term_to_json(r.rhs)} for r in system.rules
-        ]
-    if report.failure is not None:
-        doc["failure"] = {
-            "reason": report.failure.reason,
+        ],
+        "aux_signatures": [
+            {"name": s.name, "domain": list(s.domain), "range": s.range}
+            for s in (system.signatures if system else ()) if s.name != report.target
+        ],
+        "rules": [
+            {"lhs": term_to_json(r.lhs), "rhs": term_to_json(r.rhs)}
+            for r in (system.rules if system else ())
+        ],
+        "coverage": {"covered": report.success, "uncovered": uncovered},
+        "trace": [{"level": e.level, "kind": e.kind, "text": e.text} for e in report.trace],
+        "failure": None if failure is None else {
+            "reason": failure.reason,
             "underivable": [
                 {
                     "aux": u.aux_name,
                     "layer": u.layer,
-                    "example": f"{u.member.render()}",
+                    "example": u.member.render(),
                     "unresolved_call": render_term(u.call),
                 }
-                for u in report.failure.underivable
+                for u in failure.underivable
             ],
-            "uncovered": [ex.render() for ex in report.failure.uncovered],
-        }
-        doc["coverage"]["uncovered"] = [ex.render() for ex in report.failure.uncovered]
-    return doc
+            "uncovered": uncovered,
+        },
+    }
 
 
 def _print_signature(sig) -> str:

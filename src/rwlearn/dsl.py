@@ -119,6 +119,24 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def separated(self, item, sep: str) -> list:
+        """One or more items read by item(), with sep between them."""
+        items = [item()]
+        while self.toks[self.pos] == sep:
+            self.pos += 1
+            items.append(item())
+        return items
+
+    def alt(self) -> ConstructorAlt:
+        """A constructor alternative: its name, then any argument sorts in parentheses."""
+        name = self.ident()
+        if self.peek() != "(":
+            return ConstructorAlt(name)
+        self.take("(")
+        args = self.separated(self.ident, ",")
+        self.take(")")
+        return ConstructorAlt(name, tuple(args))
+
     def term(self) -> list:
         """A raw term: its [head, arity] nodes in pre-order, heads not yet
         classified as constructor, function or variable."""
@@ -160,10 +178,7 @@ def parse_problem(text: str) -> Problem:
         if kw == "sort":
             name = p.ident()
             p.take("=")
-            alts = [_parse_alt(p)]
-            while p.peek() == "|":
-                p.take("|")
-                alts.append(_parse_alt(p))
+            alts = p.separated(p.alt, "|")
             p.take(";")
             if name in sorts:
                 p.error(f"sort {name} declared twice")
@@ -172,10 +187,7 @@ def parse_problem(text: str) -> Problem:
         elif kw == "fun":
             name = p.ident()
             p.take(":")
-            domain = [p.ident()]
-            while p.peek() == ",":
-                p.take(",")
-                domain.append(p.ident())
+            domain = p.separated(p.ident, ",")
             p.take("->")
             range_ = p.ident()
             p.take(";")
@@ -231,13 +243,11 @@ def parse_problem(text: str) -> Problem:
     # examples input check: sort inference, and no rhs variable that the lhs
     # does not bind
     problem = Problem(env, list(sigs.values()), examples, target)
-    sig = sigs[target]
     try:
-        problem.var_sorts = infer_variable_sorts(examples, env, sig)
+        problem.var_sorts = infer_variable_sorts(examples, env, sigs[target])
     except TermError as e:
-        at = next(at for k, (at, _, _) in enumerate(raw_examples, 1)
-                  if _sort_inference_fails(examples[:k], env, sig))
-        raise ParseError.at(f"examples input check failed: {e}", text, at) from e
+        raise ParseError.at(f"examples input check failed: {e}", text,
+                            raw_examples[e.example][0]) from e
     for i, (ex, (at, _, _)) in enumerate(zip(examples, raw_examples), 1):
         lhs_vars = term_vars(ex.lhs)
         unbound = [v for v in term_vars(ex.rhs) if v not in lhs_vars]
@@ -245,27 +255,6 @@ def parse_problem(text: str) -> Problem:
             raise ParseError.at(f"example {i}: rhs variable {unbound[0]} does not occur on the lhs",
                                 text, at)
     return problem
-
-
-def _sort_inference_fails(examples, env: SortEnv, sig: Signature) -> bool:
-    try:
-        infer_variable_sorts(examples, env, sig)
-    except TermError:
-        return True
-    return False
-
-
-def _parse_alt(p: _Parser) -> ConstructorAlt:
-    name = p.ident()
-    if p.peek() != "(":
-        return ConstructorAlt(name)
-    p.take("(")
-    args = [p.ident()]
-    while p.peek() == ",":
-        p.take(",")
-        args.append(p.ident())
-    p.take(")")
-    return ConstructorAlt(name, tuple(args))
 
 
 def parse_term(text: str, env: SortEnv, fn_names=()) -> Term:

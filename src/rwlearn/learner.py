@@ -119,7 +119,6 @@ class PositionAttempt:
     position: int
     candidate: RewriteSystem
     uncovered: list
-    abandoned: bool
 
 
 @dataclass
@@ -132,14 +131,16 @@ class FailureInfo:
 @dataclass
 class InduceReport:
     target: str
-    success: bool
-    system: RewriteSystem | None
-    aux_signatures: list
-    trace: list
-    failure: FailureInfo | None
+    system: RewriteSystem | None = None
+    failure: FailureInfo | None = None
+    trace: list = field(default_factory=list)
     derived_aux: list = field(default_factory=list)
     attempts: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+
+    @property
+    def success(self) -> bool:
+        return self.system is not None
 
 
 def split_by_constructor(examples, position: int, alt: ConstructorAlt) -> list:
@@ -154,7 +155,7 @@ def split_by_constructor(examples, position: int, alt: ConstructorAlt) -> list:
     ]
 
 
-def build_scheme(env: SortEnv, sig: Signature, position: int, alt: ConstructorAlt,
+def build_scheme(sig: Signature, position: int, alt: ConstructorAlt,
                  fresh: FreshNames) -> SchemeEquation:
     """Structural recursion scheme for sig at the given argument position and constructor.
 
@@ -163,7 +164,7 @@ def build_scheme(env: SortEnv, sig: Signature, position: int, alt: ConstructorAl
     one recursive target call per recursive constructor argument.
     """
     sort = sig.domain[position]
-    rec, nonrec = classify_args(env, sort, alt)
+    rec, nonrec = classify_args(sort, alt)
     if not rec:
         raise ValueError(f"{alt.name} has no recursive argument")
     xs = [Var(fresh.var()) for _ in range(sig.arity - 1)]
@@ -259,20 +260,17 @@ def detect_repetition(history, key) -> bool:
 
 
 class _Ctx:
-    def __init__(self, env, cfg, fresh):
+    def __init__(self, env, cfg, fresh, report):
         self.env = env
         self.cfg = cfg
         self.fresh = fresh
-        self.trace: list[TraceEvent] = []
-        self.derived_aux: list = []
+        self.report = report
         self.underivable: list = []
-        self.attempts: list = []
-        self.warnings: list = []
         self.aux_count = 0
         self.capped = False  # a recursion-depth or auxiliary-function cap fired
 
     def emit(self, level, kind, text, examples=None):
-        self.trace.append(TraceEvent(level, kind, text, examples))
+        self.report.trace.append(TraceEvent(level, kind, text, examples))
 
     @contextmanager
     def bracket(self, level, kind, text):
@@ -301,31 +299,20 @@ def induce(target: str, examples, env: SortEnv, sigs,
     for ex in examples:
         reserved.update(term_vars(ex.lhs))
         reserved.update(term_vars(ex.rhs))
-    ctx = _Ctx(env, cfg, FreshNames(reserved))
+    report = InduceReport(target)
+    ctx = _Ctx(env, cfg, FreshNames(reserved), report)
     rules, aux_sigs, uncovered = _induce(ctx, target, examples, sig_map, 0, frozenset())
     if rules is not None:
         # the attempt that built these rules evaluated every example against
         # them; this system only declares fewer rule-less signatures
         assert uncovered == [], "internal error: success without coverage"
-        system = RewriteSystem(rules, aux_sigs + [sig_map[target]])
-        failure = None
+        report.system = RewriteSystem(rules, aux_sigs + [sig_map[target]])
     else:
-        system = None
         reason = ("cap-exceeded" if ctx.capped else
                   "underivable-aux-examples" if ctx.underivable else "uncovered-examples")
-        failure = FailureInfo(reason, ctx.underivable,
-                              examples if uncovered is None else uncovered)
-    return InduceReport(
-        target=target,
-        success=rules is not None,
-        system=system,
-        aux_signatures=aux_sigs,
-        trace=ctx.trace,
-        failure=failure,
-        derived_aux=ctx.derived_aux,
-        attempts=ctx.attempts,
-        warnings=ctx.warnings,
-    )
+        report.failure = FailureInfo(reason, ctx.underivable,
+                                     examples if uncovered is None else uncovered)
+    return report
 
 
 def _render_eqs(examples) -> str:
@@ -383,7 +370,7 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
                         ctx.emit(level + 2, "anti-unifier", f"anti-unifier: {rule.render()}")
                         rules.append(rule)
                         continue
-                    rec, _ = classify_args(ctx.env, sig.domain[position], alt)
+                    rec, _ = classify_args(sig.domain[position], alt)
                     if not rec:
                         break
                     if ctx.aux_count >= cfg.max_aux_functions:
@@ -391,18 +378,18 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
                         ctx.emit(level + 2, "cap",
                                  f"auxiliary function cap {cfg.max_aux_functions} exceeded")
                         break
-                    scheme = build_scheme(ctx.env, sig, position, alt, ctx.fresh)
+                    scheme = build_scheme(sig, position, alt, ctx.fresh)
                     aux_name = scheme.aux_sig.name
                     ctx.aux_count += 1
                     ctx.emit(level + 2, "new-scheme", f"new recursion scheme: "
                              f"{render_term(scheme.lhs)} = {render_term(scheme.rhs)}")
                     derived, underivable, warnings = derive_aux_examples(scheme, examples, subset)
-                    ctx.warnings.extend(warnings)
+                    ctx.report.warnings.extend(warnings)
                     for aux_eq, member in derived:
                         ctx.emit(level + 2, "derive",
                                  f"derive new equation: {render_term(member.rhs)} = "
                                  f"{render_term(member.lhs)} = {render_term(aux_eq.lhs)}")
-                        ctx.derived_aux.append((aux_name, layer + 1, aux_eq))
+                        ctx.report.derived_aux.append((aux_name, layer + 1, aux_eq))
                     for member, call in underivable:
                         ctx.emit(level + 2, "underivable", f"underivable equation: "
                                  f"{member.render()} needs {render_term(call)}")
@@ -422,7 +409,7 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
                 abandoned = False
             candidate = RewriteSystem(rules + aux_rules, list(sig_map.values()) + aux_sigs)
             ok, uncovered = covers_all(candidate, examples, cfg.step_limit)
-            ctx.attempts.append(PositionAttempt(fn, position, candidate, uncovered, abandoned))
+            ctx.report.attempts.append(PositionAttempt(fn, position, candidate, uncovered))
             if ok and not abandoned:
                 ctx.emit(level + 1, "covered", "all examples covered")
                 return rules + aux_rules, aux_sigs, uncovered

@@ -15,6 +15,8 @@ from functools import cached_property
 class TermError(Exception):
     """Base class for all sort/arity/symbol errors raised by this module."""
 
+    example = None  # index of the first failing example, set by `infer_variable_sorts`
+
 
 class UnknownSymbol(TermError):
     pass
@@ -365,17 +367,11 @@ class SortEnv:
     def is_constructor(self, name: str) -> bool:
         return name in self._ctor_home
 
-    def constructor_home(self, name: str) -> tuple:
-        """(owning sort, alternative) of a constructor."""
-        if name not in self._ctor_home:
-            raise UnknownSymbol(f"{name} is not a constructor")
-        return self._ctor_home[name]
-
     def symbols(self) -> set[str]:
         return set(self.sorts) | set(self._ctor_home)
 
 
-def classify_args(env: SortEnv, sort: str, alt: ConstructorAlt) -> tuple:
+def classify_args(sort: str, alt: ConstructorAlt) -> tuple:
     """Split alt's argument positions (0-based) into (recursive, non-recursive).
 
     A position is recursive when its argument sort is the owning sort itself;
@@ -438,12 +434,17 @@ def infer_variable_sorts(examples, env: SortEnv, sig: Signature) -> dict:
                 raise ArityMismatch(f"{t.head} expects {alt.arity} arguments, got {len(t.args)}")
             stack += zip(reversed(t.args), reversed(alt.arg_sorts))
 
-    for ex in examples:
-        if ex.fn != sig.name:
-            raise UnknownSymbol(f"example for {ex.fn}, expected {sig.name}")
-        if len(ex.lhs_args) != sig.arity:
-            raise ArityMismatch(f"{sig.name} expects {sig.arity} arguments, got {len(ex.lhs_args)}")
-        for a, s in zip(ex.lhs_args, sig.domain):
-            demand(a, s)
-        demand(ex.rhs, sig.range)
+    for i, ex in enumerate(examples):
+        try:
+            if ex.fn != sig.name:
+                raise UnknownSymbol(f"example for {ex.fn}, expected {sig.name}")
+            if len(ex.lhs_args) != sig.arity:
+                raise ArityMismatch(
+                    f"{sig.name} expects {sig.arity} arguments, got {len(ex.lhs_args)}")
+            for a, s in zip(ex.lhs_args, sig.domain):
+                demand(a, s)
+            demand(ex.rhs, sig.range)
+        except TermError as e:
+            e.example = i
+            raise
     return var_sorts

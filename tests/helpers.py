@@ -49,6 +49,12 @@ def tree_env() -> SortEnv:
     })
 
 
+def constructor_home(env: SortEnv, name: str) -> tuple:
+    """(owning sort, alternative) of a constructor of env."""
+    return next((sort, alt) for sort, alts in env.sorts.items() for alt in alts
+                if alt.name == name)
+
+
 def nat(n: int):
     t = App("0")
     for _ in range(n):

@@ -8,8 +8,9 @@ it up outside its per-operation error handling, so an exception there ends
 the run before its result line; every workload is therefore also built and
 swept here, traced.  A `--trace 1` run is correct only when every call
 site it must reach is hit, and reports only the per-layer metrics of the
-sites that exist; the swept workloads check both, and the evaluator's sites
-are checked on one CLI run too.
+sites that exist; the swept workloads check both, seed_cli checks both in a
+traced run of its own, and the evaluator's sites are checked on one CLI run
+too.
 """
 
 import contextlib
@@ -49,6 +50,17 @@ def test_seed_cli_run_ends_in_a_correct_result_line():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)
+
+
+def test_traced_seed_cli_run_hits_its_sites_and_reports_every_layer_metric():
+    # run.py marks the result incorrect when a site seed_cli must reach goes unhit
+    proc = _run(["bench/run.py", "--workload", "seed_cli", "--seed", "1", "--seconds", "0",
+                 "--trace", "1"])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)
 
 

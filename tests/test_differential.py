@@ -68,6 +68,7 @@ from rwlearn.terms import (
 from helpers import (
     closure_match_pattern,
     closure_substitute,
+    constructor_home,
     eq,
     hot_steps,
     line_column_tokenize,
@@ -540,7 +541,7 @@ def random_example_set(rng):
         i = rng.randrange(sig.arity)
         arg = ex.lhs_args[i]
         if isinstance(arg, App) and rng.random() < 0.7:
-            rec, _ = classify_args(env, sig.domain[i], env.constructor_home(arg.head)[1])
+            rec, _ = classify_args(sig.domain[i], constructor_home(env, arg.head)[1])
             if rec:
                 args = list(ex.lhs_args)
                 args[i] = arg.args[rng.choice(rec)]
@@ -562,8 +563,8 @@ def derivations(seed):
     out = []
     for position, sort in enumerate(sig.domain):
         for alt in env.alternatives(sort):
-            if classify_args(env, sort, alt)[0]:
-                scheme = build_scheme(env, sig, position, alt, FreshNames(reserved))
+            if classify_args(sort, alt)[0]:
+                scheme = build_scheme(sig, position, alt, FreshNames(reserved))
                 subset = split_by_constructor(examples, position, alt)
                 out.append((derive_aux_examples(scheme, examples, subset),
                             scan_derive_aux_examples(scheme, examples, subset)))

@@ -4,9 +4,9 @@ from sys import getrecursionlimit
 
 import pytest
 
-from rwlearn import ParseError, parse_problem
+from rwlearn import ParseError, dsl, parse_problem
 from rwlearn.dsl import parse_term, render_problem
-from rwlearn.terms import App, Var
+from rwlearn.terms import App, Var, infer_variable_sorts
 
 from helpers import list_env, nat, nat_env
 
@@ -151,6 +151,27 @@ def test_input_check_rejects_sort_conflicts():
             learn f ;
         """)
     assert "examples input check" in str(info.value)
+
+
+def test_sort_inference_runs_once_to_position_its_error(monkeypatch):
+    # the error carries the failing example's index, so finding it takes no
+    # re-inference over growing prefixes of the example list
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return infer_variable_sorts(*args)
+
+    monkeypatch.setattr(dsl, "infer_variable_sorts", counted)
+    text = ("sort nat = 0 | s(nat) ;\nsort list = nil | cons(nat, list) ;\n"
+            "fun f : nat, list -> nat ;\n"
+            + "".join(f"ex f(x{i}, cons(x{i}, nil)) = x{i} ;\n" for i in range(49))
+            + "ex f(y, y) = 0 ;\nlearn f ;\n")
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == ("53:1: examples input check failed: "
+                               "variable y used both as nat and as list")
+    assert len(calls) == 1
 
 
 def test_input_check_rejects_arity_mismatch():

@@ -60,7 +60,7 @@ def test_build_scheme_tree_node():
     env = tree_env()
     sig = Signature("size", ("tree",), "nat")
     alt = env.alternatives("tree")[1]  # nd(tree, nat, tree)
-    scheme = build_scheme(env, sig, 0, alt, FreshNames())
+    scheme = build_scheme(sig, 0, alt, FreshNames())
     # aux arguments: non-recursive constructor args, then one recursive
     # call per recursive constructor argument, in constructor order
     y1, y2, y3 = scheme.lhs.args[0].args
@@ -74,7 +74,7 @@ def test_build_scheme_keeps_other_arguments_in_order():
     env = nat_env()
     sig = Signature("add", ("nat", "nat"), "nat")
     alt = env.alternatives("nat")[1]  # s(nat)
-    scheme = build_scheme(env, sig, 0, alt, FreshNames())
+    scheme = build_scheme(sig, 0, alt, FreshNames())
     (x,) = [a for a in scheme.lhs.args if isinstance(a, Var)]
     (y,) = scheme.lhs.args[0].args
     assert scheme.rhs.args == (x, App("add", (y, x)))
@@ -84,7 +84,7 @@ def test_build_scheme_rejects_nonrecursive_constructor():
     env = nat_env()
     sig = Signature("f", ("nat",), "nat")
     with pytest.raises(ValueError):
-        build_scheme(env, sig, 0, env.alternatives("nat")[0], FreshNames())
+        build_scheme(sig, 0, env.alternatives("nat")[0], FreshNames())
 
 
 def test_derive_aux_examples_resolves_calls_by_renaming():
@@ -96,7 +96,7 @@ def test_derive_aux_examples_resolves_calls_by_renaming():
         eq("lgth", (lst(Var("a"), Var("b")),), nat(2)),
     ]
     alt = env.alternatives("list")[1]
-    scheme = build_scheme(env, sig, 0, alt, FreshNames({"a", "b"}))
+    scheme = build_scheme(sig, 0, alt, FreshNames({"a", "b"}))
     subset = split_by_constructor(examples, 0, alt)
     derived, underivable, warnings = derive_aux_examples(scheme, examples, subset)
     assert not underivable
@@ -117,7 +117,7 @@ def test_derive_aux_examples_reports_underivable_members():
         eq("sq", (nat(2),), nat(4)),  # sq(1) missing: sq(2) is underivable
     ]
     alt = env.alternatives("nat")[1]
-    scheme = build_scheme(env, sig, 0, alt, FreshNames())
+    scheme = build_scheme(sig, 0, alt, FreshNames())
     subset = split_by_constructor(examples, 0, alt)
     derived, underivable, _ = derive_aux_examples(scheme, examples, subset)
     assert not derived
@@ -225,7 +225,7 @@ def test_induce_learns_direct_recursion():
     report = induce("dup", examples, env, [sig])
     assert report.success
     assert covers_all(report.system, examples)[0]
-    assert len(report.aux_signatures) == 1
+    assert len(report.system.signatures) == 2  # dup and one auxiliary
 
 
 def test_induce_tries_later_positions_after_failure():
@@ -304,7 +304,7 @@ def test_whole_set_lgg_first_short_circuits():
                     InduceConfig(try_whole_set_lgg_first=True))
     assert report.success
     assert len(report.system.rules) == 1
-    assert not report.aux_signatures
+    assert [s.name for s in report.system.signatures] == ["id"]
 
 
 def test_induce_is_deterministic():
@@ -312,7 +312,7 @@ def test_induce_is_deterministic():
         problem, first = run_file(name)
         _, second = run_file(name)
         assert first.system.rules == second.system.rules
-        assert first.aux_signatures == second.aux_signatures
+        assert first.system.signatures == second.system.signatures
         assert [(e.level, e.kind, e.text) for e in first.trace] == \
                [(e.level, e.kind, e.text) for e in second.trace]
 

@@ -28,7 +28,17 @@ from rwlearn.terms import (
     term_vars,
 )
 
-from helpers import is_ground, is_renaming, list_env, lst, nat, nat_env, random_term, tree_env
+from helpers import (
+    constructor_home,
+    is_ground,
+    is_renaming,
+    list_env,
+    lst,
+    nat,
+    nat_env,
+    random_term,
+    tree_env,
+)
 
 
 def test_term_vars_first_occurrence_order():
@@ -156,8 +166,8 @@ def test_sort_env_rejects_uninhabited_sort():
 
 def test_classify_args_tree_node():
     env = tree_env()
-    _, alt = env.constructor_home("nd")
-    assert classify_args(env, "tree", alt) == ((0, 2), (1,))
+    _, alt = constructor_home(env, "nd")
+    assert classify_args("tree", alt) == ((0, 2), (1,))
 
 
 def test_infer_variable_sorts():
