@@ -1,4 +1,4 @@
-"""Generated matchers: the hot tier of `rewrite.evaluate_steps`.
+"""The compiled tier of `rewrite.evaluate_steps`: a hot system as one generated function.
 
 `rewrite` loads this module when the first system turns hot, so runs whose
 systems all stay cold do not.
@@ -7,107 +7,252 @@ systems all stay cold do not.
 from __future__ import annotations
 
 import itertools
+from operator import is_not
 
-from .terms import App, Term, Var, fold
+from .rewrite import StepLimitExceeded, StuckTerm
+from .terms import App, Var, fold
 
+# The labels of the blocks that every evaluator has: return the result,
+# resume the walk of the input once one of its calls returned, walk on.
+DONE, RESUME, WALK = 0, 1, 2
 
-def hot_entry(lhs: App, rhs: Term, shape) -> tuple:
-    """The hot index entry `(match, keyed rhs, shape)` of the rule lhs = rhs.
-
-    The parts of rhs that `rewrite.evaluate_steps` instantiates while it
-    walks shape are given keys: each compound `rewrite.NORMAL` argument and
-    each defined call over normal arguments of a skeleton node, or all of
-    rhs when shape is None or ().  The keyed rhs has `Var(key)` in their
-    place.  A part's key is an int, which no rule variable is named; a
-    variable keeps its name.  match is generated Python code for this one
-    rule: given a term with lhs's head, it returns None when lhs does not
-    match it, and otherwise a binding of every key to its part's instance.
-    So the walk reads the parts from the binding, where a cold entry has
-    `match_pattern` bind the variables and the walk calls `substitute`.
-    """
-    keys = itertools.count()
-    if not shape:
-        keyed = rhs if rhs.__class__ is Var else Var(next(keys))
-        parts = {keyed.name: rhs}
+# The walk of an input term that holds calls below its root: the generic
+# frame loop of `evaluate_steps` on the continuation stack, with frames
+# `(RESUME, node, normal forms of its arguments so far)`.  An argument that
+# is a variable, or a constant that is not a call, is normal as it stands; a
+# node whose arguments are all done is returned, rebuilt only when one of
+# them changed, unless it is a call.  A call with as many arguments as its
+# symbol has passes them in a0, a1, ... and jumps to its symbol's block; with
+# another number it is stuck.
+_WALK = f"""\
+if pc == {RESUME}:
+    _, node, done = k
+    done.append(r)
+    pc = {WALK}
+if pc == {WALK}:
+    nargs = node.args
+    i = len(done)
+    while i < len(nargs):
+        a = nargs[i]
+        if a.__class__ is App and (a.args or a.head in calls):
+            break
+        done.append(a)
+        i += 1
+    if i < len(nargs):
+        push(({RESUME}, node, done))
+        done = []
+        if a.args:
+            node = a
+            continue
+        head = a.head
     else:
-        parts = {}
-        # one frame per skeleton node, with its keyed arguments so far
-        frames = [(rhs, shape, [])]
-        while frames:
-            node, shapes, done = frames[-1]
-            if len(done) < len(shapes):
-                arg, sub = node.args[len(done)], shapes[len(done)]
-                if sub.__class__ is App and sub.args:
-                    frames.append((arg, sub.args, []))
-                    continue
-                if arg.__class__ is Var:
-                    parts[arg.name] = arg
-                elif arg.args or sub.__class__ is App:
-                    key = next(keys)
-                    parts[key] = arg
-                    arg = Var(key)
-                done.append(arg)
-                continue
-            frames.pop()
-            keyed = App(node.head, tuple(done))
-            if frames:
-                frames[-1][2].append(keyed)
-    source, constants = matcher_source(lhs, parts)
-    namespace = {"__builtins__": {}, "App": App, "len": len, **constants}
+        head = node.head
+        if head not in calls:
+            r = App(head, tuple(done)) if any(map(is_not, done, nargs)) else node
+            k = pop()
+            pc = k[0]
+            continue
+    arity, pc = calls[head]
+    if len(done) != arity:
+        raise StuckTerm(App(head, tuple(done)))
+"""
+
+
+# Before the loop: an input whose arguments hold no call, as most inputs,
+# is normal below its root, and is not walked.
+_START = f"""\
+steps = 0
+stack = [({DONE},)]
+push = stack.append
+pop = stack.pop
+node = t
+done = []
+pc = {WALK}
+scan = list(t.args)
+while scan:
+    a = scan.pop()
+    if a.__class__ is App:
+        if a.head in calls:
+            break
+        scan += a.args
+else:
+    done = list(t.args)
+"""
+
+
+def compile_system(sys):
+    """`run(t, step_limit)`: for an App t, what `rewrite.evaluate_steps(sys, t, step_limit)`
+    gives without a table, the normal form and the step count or the same exception."""
+    source, constants = evaluator_source(sys)
+    namespace = {"__builtins__": {}, "App": App, "StuckTerm": StuckTerm,
+                 "StepLimitExceeded": StepLimitExceeded, "any": any, "is_not": is_not,
+                 "len": len, "list": list, "map": map, "tuple": tuple, **constants}
     exec(source, namespace)
-    return namespace["match"], keyed, shape
+    return namespace["run"]
 
 
-def matcher_source(lhs: App, parts: dict) -> tuple:
-    """The source of `match(t)` for `hot_entry`, and the constants it reads.
+def evaluator_source(sys) -> tuple:
+    """The source of `run` for `compile_system`, and the constants it reads.
 
-    The code is flat, one statement per node and no nested expression, so
-    patterns and parts of any depth compile.  It matches lhs's arguments in
-    pre-order, each subject node in a local of its own, and returns None at
-    the first mismatch; lhs is left-linear, so no two images are compared.
-    Then it builds each part in post-order, each node in a local of its
-    own.  A subterm without variables is not built: it is taken from the
-    constants, as it stands.  Heads and keys appear in the source only as
-    `repr()` literals.
+    `run` is one loop over blocks, each `if pc == label:`, on an explicit
+    continuation stack of tuples `(label, values saved for later)`.  A
+    call puts its normal arguments in the locals a0, a1, ... and jumps to
+    its symbol's block; a block that has a result puts it in r, pops the
+    stack and jumps to the popped label.  A symbol's block reads the
+    constructor at its `RewriteSystem.index` position, and tries the rules
+    of that bucket inline, in rule order.  A rule's lhs is matched one
+    pattern node per guard, and its rhs is straight-line code in
+    post-order, one statement per node: a normal node is built from the
+    match locals, and a defined call pushes the values that later code
+    reads, with a label whose block resumes there, unless it is the rhs
+    root.  A redex is built only for the StuckTerm of a call that no rule
+    matches.  The input is walked as `evaluate_steps` walks it, on the same
+    stack.  No block nests deeper with more rules, symbols or larger terms,
+    and no name of sys is in the source other than as a `repr()` literal.
     """
-    lines = ["def match(t):"]
-    constants: dict[str, Term] = {}
-    image = {}  # lhs variable name -> the local holding its image
-    locals_ = (f"v{i}" for i in itertools.count())
-    stack = [("t", lhs)]
-    while stack:
-        local, pattern = stack.pop()
-        if pattern.__class__ is Var:
-            image[pattern.name] = local
-            continue
-        if pattern is not lhs:  # the index gives a term with lhs's head
-            lines.append(f"    if {local}.__class__ is not App or {local}.head != "
-                         f"{pattern.head!r}: return None")
-        if not pattern.args:
-            lines.append(f"    if {local}.args: return None")
-            continue
-        names = [next(locals_) for _ in pattern.args]
-        lines.append(f"    if len({local}.args) != {len(names)}: return None")
-        lines.append(f"    {', '.join(names)}, = {local}.args")
-        stack += reversed(list(zip(names, pattern.args)))
+    labels = itertools.count(WALK + 1)
+    entry = {name: next(labels) for name in sys.sig_by_name}
+    calls = {name: (s.arity, entry[name]) for name, s in sys.sig_by_name.items()}
+    constants = {"calls": calls}
 
     def constant(term) -> str:
         name = f"c{len(constants)}"
         constants[name] = term
         return name
 
-    def build(node: App, done: list):
-        """The constant node itself when its arguments are, else the local that holds it."""
-        if all(d.__class__ is App for d in done):
-            return node
-        built = next(locals_)
-        args = "".join(f"{d if d.__class__ is str else constant(d)}, " for d in done)
-        lines.append(f"    {built} = App({node.head!r}, ({args}))")
-        return built
+    blocks = []
+    for name, (position, rules) in sys.index.items():
+        lines = []
+        buckets = [(None, rules)] if position is None else rules.items()
+        if position is not None:
+            lines.append(f"h = a{position}.head if a{position}.__class__ is App else None")
+        resumes = []
+        for key, bucket in buckets:
+            tries = []
+            for lhs, rhs, _ in bucket:
+                guards, image = _guards(lhs, position)
+                code, more = _body(rhs, image, calls, labels, constant)
+                tries += _guarded(guards, code)
+                resumes += more
+            lines += tries if key is None else [f"if h == {key!r}:", *_indent(tries)]
+        lines.append(f"raise StuckTerm(App({name!r}, ({_items(_args(calls[name][0]))})))")
+        blocks += [(entry[name], lines), *resumes]
+    walk = _WALK.splitlines()
+    for arity in sorted({arity for arity, _ in calls.values()} - {0}):
+        walk += [f"    if arity == {arity}:", f"        {_items(_args(arity))}= done"]
+    walk.append("    continue")
+    source = ["def run(t, step_limit):", *_indent(_START.splitlines()), "    while True:"]
+    for label, lines in blocks:
+        source += [f"        if pc == {label}:", *_indent(lines, "            ")]
+    source += _indent(walk, "        ")
+    source += [f"        if pc == {DONE}:", "            return r, steps"]
+    return "\n".join(source) + "\n", constants
 
-    items = []
-    for key, part in parts.items():
-        built = fold(part, lambda v: image[v.name], build)
-        items.append(f"{key!r}: {built if built.__class__ is str else constant(built)}")
-    lines.append(f"    return {{{', '.join(items)}}}")
-    return "\n".join(lines) + "\n", constants
+
+def _args(n: int) -> list:
+    return [f"a{i}" for i in range(n)]
+
+
+def _items(names) -> str:
+    """names as the items of a tuple display or a target list: `x, y, `."""
+    return "".join(f"{name}, " for name in names)
+
+
+def _indent(lines, prefix: str = "    ") -> list:
+    return [prefix + line for line in lines]
+
+
+def _guards(lhs: App, position) -> tuple:
+    """The guards that match lhs in the symbol's block, and the local of each lhs variable.
+
+    A guard is a condition on one pattern node's local and the statement
+    that unpacks its arguments into locals of their own, or None; the
+    guards run in pre-order, so each node's local is set before its guard.
+    The head of the argument at the index position is tested by its bucket.
+    """
+    guards = []
+    image = {}
+    locals_ = (f"x{i}" for i in itertools.count())
+    stack = [(f"a{i}", arg, i == position) for i, arg in reversed(list(enumerate(lhs.args)))]
+    while stack:
+        local, pattern, indexed = stack.pop()
+        if pattern.__class__ is Var:
+            image[pattern.name] = local
+            continue
+        n = len(pattern.args)
+        condition = f"len({local}.args) == {n}" if n else f"not {local}.args"
+        if not indexed:
+            condition = f"{local}.__class__ is App and {local}.head == {pattern.head!r} and " \
+                        + condition
+        names = [next(locals_) for _ in pattern.args]
+        guards.append((condition, f"{_items(names)}= {local}.args" if names else None))
+        stack += [(name, arg, False) for name, arg in reversed(list(zip(names, pattern.args)))]
+    return guards, image
+
+
+def _guarded(guards, code) -> list:
+    """code run when every guard holds, each guard tested once its node's local is set."""
+    if not guards:
+        return code
+    (condition, unpack), *rest = guards
+    if not rest:
+        return [f"if {condition}:", *_indent([unpack] if unpack else []), *_indent(code)]
+    lines = [f"m = {condition}"]
+    for i, (_, unpack) in enumerate(guards):
+        then = [unpack] if unpack else []
+        then += [f"m = {guards[i + 1][0]}"] if i + 1 < len(guards) else code
+        lines += ["if m:", *_indent(then)]
+    return lines
+
+
+def _body(rhs, image, calls, labels, constant) -> tuple:
+    """The code that contracts a matched redex to rhs: the lines run at the match, and
+    `(label, lines)` of each block that resumes it after a call returns."""
+    items = []  # (local, head, operands, is a call), in post-order
+    locals_ = (f"n{i}" for i in itertools.count())
+
+    def node(u: App, values: list):
+        if u.head not in calls and all(v.__class__ is App for v in values):
+            return u  # no variable and no call: the rhs node itself is its every instance
+        local = next(locals_)
+        items.append((local, u.head, values, u.head in calls))
+        return local
+
+    root = fold(rhs, lambda v: image[v.name], node)
+    # the locals that the code after each call reads, found backwards
+    live = {root} if root.__class__ is str else set()
+    saved = {}
+    for local, _, values, call in reversed(items):
+        live.discard(local)
+        if call:
+            saved[local] = sorted(live)
+        live.update(v for v in values if v.__class__ is str)
+
+    first = lines = ["if steps >= step_limit:", "    raise StepLimitExceeded(step_limit)",
+                     "steps += 1"]
+    resumes = []
+    for local, head, values, call in items:
+        operands = [v if v.__class__ is str else constant(v) for v in values]
+        if not call:
+            lines.append(f"{'r' if local is root else local} = App({head!r}, ({_items(operands)}))")
+            continue
+        if len(operands) != calls[head][0]:  # a call that no rule of head can match
+            lines.append(f"raise StuckTerm(App({head!r}, ({_items(operands)})))")
+            return first, resumes
+        if local is not root:
+            label = next(labels)
+            lines.append(f"push(({label}, {_items(saved[local])}))")
+        moves = [(a, v) for a, v in zip(_args(len(operands)), operands) if a != v]
+        if moves:
+            targets, sources = zip(*moves)
+            lines.append(f"{', '.join(targets)} = {', '.join(sources)}")
+        lines += [f"pc = {calls[head][1]}", "continue"]
+        if local is root:  # a tail call: its result is the contractum's
+            return first, resumes
+        lines = [f"_, {_items(saved[local])}= k"] if saved[local] else []
+        lines.append(f"{local} = r")
+        resumes.append((label, lines))
+    if not (items and items[-1][0] is root):  # else the root's own statement set r
+        lines.append(f"r = {root if root.__class__ is str else constant(root)}")
+    lines += ["k = pop()", "pc = k[0]", "continue"]
+    return first, resumes

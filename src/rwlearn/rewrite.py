@@ -48,24 +48,18 @@ class Rule:
     def render(self) -> str:
         return f"{render_term(self.lhs)}={render_term(self.rhs)}"
 
-    def index_entry(self, defined, hot: bool = False) -> tuple:
+    def index_entry(self, defined) -> tuple:
         """`(lhs, rhs, shape)`, shape being the rhs's `redex_skeleton` over `defined`.
 
         The shape depends only on which heads of the rhs are defined, so it
         is computed once for each such set and kept on the rule: systems
-        built again from rules that an earlier system had reuse it.  With
-        hot, or once an earlier system was hot, the entry is
-        `codegen.hot_entry`'s `(match, keyed rhs, shape)` instead, kept on the
-        rule in the same way.
+        built again from rules that an earlier system had reuse it.
         """
         heads, entries = self._index_entries
         key = heads.intersection(defined)
         entry = entries.get(key)
         if entry is None:
             entry = entries[key] = (self.lhs, self.rhs, redex_skeleton(self.rhs, defined))
-        if hot and entry[0] is self.lhs:
-            from .codegen import hot_entry  # loaded by the first system that turns hot
-            entry = entries[key] = hot_entry(*entry)
         return entry
 
     @cached_property
@@ -137,11 +131,11 @@ class RewriteSystem:
     match the same term, so trying a term's bucket first to last finds the
     rule a scan finds.
 
-    A system is cold until the `evaluate_steps` calls on it that returned
-    have taken `HOT_STEPS` steps in all (`cold_steps` counts them).  Then it
-    turns hot: every index entry becomes the rule's `codegen.hot_entry`,
-    which evaluates the same.  A rule keeps its hot entry, so a later system built
-    with it starts with that entry.
+    A system is cold until the `evaluate_steps` calls on it without a table
+    have taken `HOT_STEPS` steps in all, as it stood when the system was
+    built (`steps_to_hot` counts down).  Then it is hot, and such calls run
+    `compiled`, the evaluator that `codegen.compile_system` generates for it
+    when one first needs it.  Tabled calls neither count nor run it.
     """
 
     def __init__(self, rules, signatures):
@@ -154,8 +148,9 @@ class RewriteSystem:
             if defect is not None:
                 raise RuleError(defect)
             self._by_head.setdefault(rule.lhs.head, []).append(rule)
-        self.cold_steps = 0
-        self._index(HOT_STEPS <= 0)
+        self.index = {name: _index_rules(self.rules_for(name), self.sig_by_name)
+                      for name in self.sig_by_name}
+        self.steps_to_hot = HOT_STEPS
 
     def is_defined(self, name: str) -> bool:
         return name in self.sig_by_name
@@ -163,14 +158,15 @@ class RewriteSystem:
     def rules_for(self, name: str):
         return self._by_head.get(name, ())
 
-    def _index(self, hot: bool):
-        self.index = {name: _index_rules(self.rules_for(name), self.sig_by_name, hot)
-                      for name in self.sig_by_name}
+    @cached_property
+    def compiled(self):
+        from .codegen import compile_system  # loaded by the first system that turns hot
+        return compile_system(self)
 
 
-def _index_rules(rules, defined, hot: bool) -> tuple:
+def _index_rules(rules, defined) -> tuple:
     """`RewriteSystem.index` entry of one symbol's rules, given the defined symbols."""
-    entries = [rule.index_entry(defined, hot) for rule in rules]
+    entries = [rule.index_entry(defined) for rule in rules]
     arity = min((len(rule.lhs.args) for rule in rules), default=0)
     for i in range(arity):
         if all(rule.lhs.args[i].__class__ is App for rule in rules):
@@ -204,9 +200,9 @@ def redex_skeleton(rhs: Term, defined) -> tuple | None:
     return None if skeleton is NORMAL else skeleton.args
 
 
-# A system turns hot once its evaluate_steps calls have taken this many
-# steps: generating and compiling a rule's matcher costs about as much as a
-# hundred generic matches, so systems that take few steps stay cold.
+# A system turns hot once its untabled evaluate_steps calls have taken this
+# many steps: generating and compiling its evaluator costs about as much as
+# a few hundred generic steps, so systems that take few steps stay cold.
 HOT_STEPS = 2000
 
 
@@ -214,29 +210,26 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
                    normal_args: bool = False):
     """Normal form of t together with the number of rewrite steps taken.
 
-    Call by value over an explicit stack: the arguments of an App are
-    normalised left to right, then a defined root is contracted with the
-    first rule that matches, of those in its `RewriteSystem.index` bucket,
-    and the contractum is normalised in turn.  The contractum is not built
-    first: the rule's rhs is walked with the match binding along its
-    `shape`, the positions that hold a defined call or lie above one.  A
-    normal part of the rhs is instantiated by `substitute` (a variable is
-    read from the binding) when the walk reaches it, a defined call over
-    normal arguments is instantiated and contracted at once, and a node
-    above a call is built once, over the normal forms of its arguments.
-    This contracts the leftmost-innermost redex at every step without going
-    back to the root, so a step costs the part of its rule's rhs that can
-    hold a redex, not the size of the term.
+    Call by value: the arguments of an App are normalised left to right,
+    then a defined root is contracted with the first rule that matches, of
+    those in its `RewriteSystem.index` bucket, and the contractum is
+    normalised in turn.  The contractum is not built first: only its parts
+    are, each once, and a defined call in it is contracted as soon as its
+    arguments are normal.  This contracts the leftmost-innermost redex at
+    every step without going back to the root, so a step costs the part of
+    its rule's rhs that can hold a redex, not the size of the term.
 
-    Rules are tried in two tiers.  A cold index entry is matched by the
-    generic `match_pattern`, and its parts are built by `substitute` as
-    above.  Once the calls on sys that returned have taken `HOT_STEPS`
-    steps, sys is hot: each entry is the rule's `codegen.hot_entry`, whose
-    generated `match` tests the rule's lhs and builds every part the walk
-    takes in one call, and the walk reads them from its binding.  Both
-    tiers contract the same redexes with the same rules.
-    With normal_args the caller vouches that t's arguments are normal, and
-    they are not walked.
+    An untabled call on a hot sys runs `sys.compiled`, which does all this
+    in code generated for sys's rules.  Any other call runs the generic
+    loop below, over an explicit stack: it matches by `match_pattern`, and
+    walks the rule's rhs with the binding along its `shape`, the positions
+    that hold a defined call or lie above one.  A normal part of the rhs is
+    instantiated by `substitute` (a variable is read from the binding) when
+    the walk reaches it, a defined call over normal arguments is
+    instantiated and contracted at once, and a node above a call is built
+    once, over the normal forms of its arguments.  Both contract the same
+    redexes with the same rules.  With normal_args the caller vouches that
+    t's arguments are normal, and the generic loop does not walk them.
 
     Raises StuckTerm when a defined-symbol subterm with normal arguments
     matches no rule (it can never become reducible), and StepLimitExceeded
@@ -251,6 +244,8 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     """
     if isinstance(t, Var):
         return t, 0
+    if table is None and sys.steps_to_hot <= 0:
+        return sys.compiled(t, step_limit)
     index = sys.index
     steps = 0
     # One frame per App being normalised: the App, a shape whose Var
@@ -262,75 +257,76 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     # argument is instantiated when it is reached, and the instance is built
     # once, when the frame pops.  A subterm of t has no binding.
     frames = [(t, (), list(t.args), None, None) if normal_args else (t, t.args, [], None, None)]
-    while True:
-        term, shape, done, opened, binding = frames[-1]
-        i = len(done)
-        if i < len(shape):
-            arg = term.args[i]
-            sub = shape[i]
-            if sub.__class__ is Var:
-                done.append(arg if binding is None else binding[arg.name] if arg.__class__ is Var
-                            else substitute(arg, binding) if arg.args else arg)
-                continue
-            if sub.args:
-                frames.append((arg, sub.args, [], None, binding))
-                continue
-            # an App with no argument to walk (in a rhs, a defined call over
-            # normal arguments; in t, a constant) needs no frame of its own
-            # and goes straight on to contraction
-            term = (arg if binding is None else binding[arg.name] if arg.__class__ is Var
-                    else substitute(arg, binding))
-            opened = None
-        else:
-            frames.pop()
-            if binding is not None or any(map(is_not, done, term.args)):
-                term = App(term.head, tuple(done))
-        entry = index.get(term.head)
-        if entry is not None:
-            known = None if table is None else table.get(term)
-            if known is None:
-                position, rules = entry
-                if position is not None:
-                    # a variable there, or too few arguments, matches no rule
-                    key = term.args[position] if position < len(term.args) else None
-                    rules = rules.get(key.head, ()) if key.__class__ is App else ()
-                for lhs, rhs, shape in rules:
-                    binding = match_pattern(lhs, term) if lhs.__class__ is App else lhs(term)
-                    if binding is not None:
-                        break
-                else:
-                    raise _stuck(term, steps, table, frames, [*(opened or ()), (term, steps)])
-                if table is not None:
-                    opened = [] if opened is None else opened
-                    opened.append((term, steps))
-                steps += 1
-                if steps > step_limit:
-                    raise StepLimitExceeded(step_limit)
-                if shape:
-                    frames.append((rhs, shape, [], opened, binding))
+    try:
+        while True:
+            term, shape, done, opened, binding = frames[-1]
+            i = len(done)
+            if i < len(shape):
+                arg = term.args[i]
+                sub = shape[i]
+                if sub.__class__ is Var:
+                    done.append(arg if binding is None else binding[arg.name]
+                                if arg.__class__ is Var else substitute(arg, binding)
+                                if arg.args else arg)
                     continue
-                term = binding[rhs.name] if rhs.__class__ is Var else substitute(rhs, binding)
-                if shape is not None:
-                    # the contractum is itself a call over normal arguments
-                    frames.append((term, (), [], opened, None))
+                if sub.args:
+                    frames.append((arg, sub.args, [], None, binding))
                     continue
+                # an App with no argument to walk (in a rhs, a defined call over
+                # normal arguments; in t, a constant) needs no frame of its own
+                # and goes straight on to contraction
+                term = arg if binding is None else substitute(arg, binding)
+                opened = None
             else:
-                term, taken, stuck = known
-                steps += taken
-                if steps > step_limit:
-                    raise StepLimitExceeded(step_limit)
-                if stuck:
-                    raise _stuck(term, steps, table, frames, opened)
-        if opened:
-            for redex, start in opened:
-                table[redex] = (term, steps - start, False)
-        if not frames:
-            if sys.cold_steps < HOT_STEPS:
-                sys.cold_steps += steps
-                if sys.cold_steps >= HOT_STEPS:
-                    sys._index(hot=True)
-            return term, steps
-        frames[-1][2].append(term)
+                frames.pop()
+                if binding is not None or any(map(is_not, done, term.args)):
+                    term = App(term.head, tuple(done))
+            entry = index.get(term.head)
+            if entry is not None:
+                known = None if table is None else table.get(term)
+                if known is None:
+                    position, rules = entry
+                    if position is not None:
+                        # a variable there, or too few arguments, matches no rule
+                        key = term.args[position] if position < len(term.args) else None
+                        rules = rules.get(key.head, ()) if key.__class__ is App else ()
+                    for lhs, rhs, shape in rules:
+                        binding = match_pattern(lhs, term)
+                        if binding is not None:
+                            break
+                    else:
+                        raise _stuck(term, steps, table, frames,
+                                     [*(opened or ()), (term, steps)])
+                    if table is not None:
+                        opened = [] if opened is None else opened
+                        opened.append((term, steps))
+                    if steps >= step_limit:
+                        raise StepLimitExceeded(step_limit)
+                    steps += 1
+                    if shape:
+                        frames.append((rhs, shape, [], opened, binding))
+                        continue
+                    term = binding[rhs.name] if rhs.__class__ is Var else substitute(rhs, binding)
+                    if shape is not None:
+                        # the contractum is itself a call over normal arguments
+                        frames.append((term, (), [], opened, None))
+                        continue
+                else:
+                    term, taken, stuck = known
+                    steps += taken
+                    if steps > step_limit:
+                        raise StepLimitExceeded(step_limit)
+                    if stuck:
+                        raise _stuck(term, steps, table, frames, opened)
+            if opened:
+                for redex, start in opened:
+                    table[redex] = (term, steps - start, False)
+            if not frames:
+                return term, steps
+            frames[-1][2].append(term)
+    finally:
+        if table is None:  # what it took counts toward sys turning hot, however it ended
+            sys.steps_to_hot -= steps
 
 
 def _stuck(term: App, steps: int, table, frames, opened) -> StuckTerm:

@@ -10,7 +10,8 @@ from operator import is_not
 
 import pytest
 
-from rwlearn import InduceConfig, ParseError, induce, parse_problem, rewrite
+from rwlearn import InduceConfig, ParseError, codegen, induce, parse_problem, rewrite
+from rwlearn.codegen import compile_system
 from rwlearn.learner import _resolve_call
 from rwlearn.rewrite import EvalError, RewriteSystem, Rule, StepLimitExceeded, StuckTerm
 from rwlearn.terms import (
@@ -372,23 +373,36 @@ def outcome(evaluate, system, t, step_limit):
 
 @contextlib.contextmanager
 def hot_steps(n):
-    """`rewrite.HOT_STEPS` set to n: a system built inside turns hot after n steps,
-    at once for 0 and never for infinity."""
+    """`rewrite.HOT_STEPS` set to n: a system built inside turns hot once its untabled
+    calls have taken n steps, at once for 0 and never for infinity."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rewrite, "HOT_STEPS", n)
         yield
 
 
 def rebuilt(system) -> RewriteSystem:
-    """system over copies of its rules, which bring no hot index entry along."""
-    return RewriteSystem([Rule(rule.lhs, rule.rhs) for rule in system.rules], system.signatures)
+    """system built again, with a step count of its own: under `hot_steps(n)` it turns
+    hot once its untabled calls have taken n steps."""
+    return RewriteSystem(system.rules, system.signatures)
 
 
 def is_hot(system) -> bool:
-    """Whether every index entry of system is a hot one."""
-    entries = [entry for position, rules in system.index.values()
-               for bucket in ([rules] if position is None else rules.values()) for entry in bucket]
-    return all(not isinstance(entry[0], App) for entry in entries)
+    """Whether an untabled `evaluate_steps` call on system runs its compiled evaluator."""
+    return system.steps_to_hot <= 0
+
+
+@contextlib.contextmanager
+def compiles():
+    """The systems that `codegen.compile_system` compiles inside, in order."""
+    compiled = []
+
+    def recording(system):
+        compiled.append(system)
+        return compile_system(system)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codegen, "compile_system", recording)
+        yield compiled
 
 
 def untabled_evaluate_steps(system, t, step_limit: int = 10000):

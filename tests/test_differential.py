@@ -9,9 +9,11 @@ same normal form and step count, or the same exception with the same stuck
 term or limit.  With a table shared across calls it must give what the
 untabled loop `untabled_evaluate_steps` gives on each call alone, and
 `rewrite.covers_all` what `untabled_covers_all` gives, in the same order.
-All of this holds at both tiers of the evaluator: with every rule matched
-and instantiated by the generic kernels, with every rule by its generated
-matcher, and with a system that turns hot between two calls.
+All of this holds at both tiers of the evaluator: with every call run by
+the generic loop, with every untabled call by the system's compiled
+evaluator, and with a system that turns hot between two calls.  The
+compiled evaluator is one function that does not call itself, and its
+blocks nest no deeper for larger systems or terms.
 `terms.match_pattern` must return the binding of `closure_match_pattern`, in
 the same key order, and `terms.substitute` the instance that
 `closure_substitute` builds.  `learner.derive_aux_examples`,
@@ -28,6 +30,7 @@ the error, of `line_column_tokenize`; `cli.term_to_json` the document of
 report writer `cli._dumps` the text of `json.dumps(doc, indent=2)`.
 """
 
+import ast
 import json
 import math
 import random
@@ -38,6 +41,7 @@ from hypothesis import given, settings, strategies as st
 
 from rwlearn import ParseError
 from rwlearn.cli import _dumps, term_from_json, term_to_json
+from rwlearn.codegen import evaluator_source
 from rwlearn.dsl import _tokenize
 from rwlearn.learner import FreshNames, build_scheme, derive_aux_examples, split_by_constructor
 from rwlearn.rewrite import (
@@ -101,11 +105,20 @@ SEED_RUNS = [
 
 # HOT_STEPS values: every system hot from the start, and every system cold
 TIERS = [0, math.inf]
+# and a system that turns hot after its first few steps, between two calls
+SWITCH = 3
 
 
 def assert_same_outcome(system, t, step_limit):
+    """evaluate_steps gives what the oracle gives; and a normal form found in s
+    steps is found with the limit s, and the limit s - 1 is exceeded."""
     expected = outcome(restarting_evaluate_steps, system, t, step_limit)
     assert outcome(evaluate_steps, system, t, step_limit) == expected
+    if expected[0] not in (StuckTerm, StepLimitExceeded):
+        steps = expected[1]
+        assert outcome(evaluate_steps, system, t, steps) == expected
+        if steps:
+            assert outcome(evaluate_steps, system, t, steps - 1) == (StepLimitExceeded, steps - 1)
 
 
 def random_call(system, env, sort, height, rng, var_pool):
@@ -137,7 +150,7 @@ def seed_systems():
     return systems
 
 
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", [*TIERS, SWITCH])
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
 def test_evaluators_agree_on_learned_seed_systems(seed_systems, tier, seed):
@@ -198,7 +211,7 @@ def random_system(rng, pattern_height=3, var_p=0.25) -> RewriteSystem:
 
 # no deadline: the restarting oracle is quadratic in the steps taken, and a
 # non-terminating draw takes up to 200 of them
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", [*TIERS, SWITCH])
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
 def test_evaluators_agree_on_random_small_systems(tier, seed):
@@ -223,7 +236,7 @@ CATCH_ALL = [Rule(App("c"), App("0")), Rule(App("f", (Var("x0"),)), App("s", (Va
              Rule(App("g", (Var("x0"), Var("x1"))), App("p", (Var("x0"), Var("x1"))))]
 
 
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", [*TIERS, SWITCH])
 @given(st.integers(0, 10**9))
 def test_right_hand_sides_are_instantiated_as_the_oracle_does(tier, seed):
     # one random rule for r, whose rhs may call c, f and g; each of those has
@@ -249,6 +262,63 @@ def test_right_hand_sides_are_instantiated_as_the_oracle_does(tier, seed):
             t = substitute(lhs, {v: random_small_term(rng.randint(1, 3), rng, CTORS, ["a"], 0.2)
                                  for v in variables})
             assert_same_outcome(system, t, 100)
+
+
+def nesting(tree) -> int:
+    """The most compound statements in tree that nest one in another."""
+    deepest = 0
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depth += isinstance(node, (ast.FunctionDef, ast.If, ast.While, ast.For, ast.With, ast.Try))
+        deepest = max(deepest, depth)
+        stack += [(child, depth) for child in ast.iter_child_nodes(node)]
+    return deepest
+
+
+# FunctionDef > while > a block > a bucket > a guard > the step limit check
+FLAT = 6
+
+
+def assert_one_flat_function(system):
+    tree = ast.parse(evaluator_source(system)[0])
+    [run] = tree.body
+    assert isinstance(run, ast.FunctionDef)
+    assert not any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == run.name
+                   for node in ast.walk(run))
+    assert nesting(tree) <= FLAT
+
+
+@given(st.integers(0, 10**9))
+def test_generated_evaluators_are_one_flat_function(seed_systems, seed):
+    rng = random.Random(seed)
+    assert_one_flat_function(rng.choice(seed_systems)[1])
+    assert_one_flat_function(random_system(rng) if rng.random() < 0.5 else cleanup_system(rng))
+
+
+def test_generated_evaluators_stay_flat_for_large_systems_and_terms():
+    # many buckets of one symbol, many rules in one bucket, many symbols, a
+    # deep lhs and a deep rhs, deeper than the parser and the compiler take
+    # nested expressions
+    n = 2 * getrecursionlimit()
+    x = Var("x")
+    deep = x
+    for _ in range(n):
+        deep = App("s", (deep,))
+    sigs = [Signature(f"f{i}", ("t",), "t") for i in range(300)]
+    systems = [
+        RewriteSystem([Rule(App("f0", (App(f"c{i}", (x,)),)), App("f0", (x,)))
+                       for i in range(300)], sigs[:1]),
+        RewriteSystem([Rule(App("f0", (App("p", (x, App(f"c{i}"))),)), App("f0", (x,)))
+                       for i in range(300)], sigs[:1]),
+        RewriteSystem([Rule(App(f"f{i}", (x,)), App(f"f{(i + 1) % 300}", (App("s", (x, x)),)))
+                       for i in range(300)], sigs),
+        RewriteSystem([Rule(App("f0", (deep,)), x)], sigs[:1]),
+        RewriteSystem([Rule(App("f0", (x,)), substitute(deep, {"x": App("f1", (x,))})),
+                       Rule(App("f1", (x,)), x)], sigs[:2]),
+    ]
+    for system in systems:
+        assert_one_flat_function(system)
 
 
 def test_random_systems_reach_every_index_shape():
@@ -391,7 +461,11 @@ def assert_tabled_agrees(system, examples, step_limits):
     for ex, limit in zip(examples, step_limits):
         normal_args = not has_defined_symbol(system, ex.lhs_args)
         tabled = outcome(lambda *a: evaluate_steps(*a, table, normal_args), system, ex.lhs, limit)
-        assert tabled == outcome(untabled_evaluate_steps, system, ex.lhs, limit)
+        expected = outcome(untabled_evaluate_steps, system, ex.lhs, limit)
+        assert tabled == expected
+        # an untabled call between two that share the table, which alone counts
+        # toward the system turning hot
+        assert outcome(evaluate_steps, system, ex.lhs, limit) == expected
     for limit in set(step_limits):
         ok, uncovered = covers_all(system, examples, limit)
         expected_ok, expected = untabled_covers_all(system, examples, limit)
@@ -444,8 +518,8 @@ def test_tabled_evaluation_agrees_with_untabled_on_learned_seed_systems(seed_sys
     assert_tabled_agrees(*seed_system_draw(seed_systems, rng))
 
 
-# 1: in about a quarter of the draws the system turns hot between two calls
-# that share the table
+# 1: the system turns hot at the first untabled call that takes a step, most
+# often between two calls that share the table
 @pytest.mark.parametrize("tier", [*TIERS, 1])
 @settings(deadline=None)
 @given(st.integers(0, 10**9))

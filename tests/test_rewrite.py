@@ -7,8 +7,8 @@ from sys import getrecursionlimit
 
 import pytest
 
-from rwlearn import codegen, rewrite
-from rwlearn.codegen import matcher_source
+from rwlearn import codegen, induce, rewrite
+from rwlearn.codegen import evaluator_source
 from rwlearn.rewrite import (
     NORMAL,
     RewriteSystem,
@@ -26,8 +26,9 @@ from rwlearn.rewrite import (
 from rwlearn.simplify import prune_irrelevant_args
 from rwlearn.terms import App, Signature, Var, match_pattern, same_term, substitute, subterms
 
-from helpers import (eq, hot_steps, is_hot, lst, nat, outcome, rebuilt, restarting_evaluate_steps,
-                     run_file, untabled_covers_all, untabled_evaluate_steps)
+from helpers import (compiles, eq, hot_steps, is_hot, lst, nat, nat_env, outcome, rebuilt,
+                     restarting_evaluate_steps, run_file, untabled_covers_all,
+                     untabled_evaluate_steps)
 
 # HOT_STEPS values: every system hot from the start, and every system cold
 TIERS = [0, math.inf]
@@ -116,17 +117,18 @@ def test_deep_right_hand_sides_are_built_and_evaluated_without_recursion(tier):
             [Signature(name, ("nat",), "nat") for name in ("f", "g", "h")],
         )
     assert is_hot(sys) == (tier == 0)
-    if tier:
-        assert sys.index["h"] == (None, [(App("h", (x,)), tower(x), None)])
+    assert sys.index["h"] == (None, [(App("h", (x,)), tower(x), None)])
     # h(0) -> s^n(0); f(s^n(0)) -> s^n(g(s^n(0))); g(s^n(0)) -> s^(n+1)(0)
     t = App("f", (App("h", (nat(0),)),))
     table = {}
-    # untabled, tabled, and again from the table
-    for known in (None, table, table):
-        out, steps = evaluate_steps(sys, t, table=known)
-        assert steps == 3 and same_term(out, nat(2 * n + 1))
-    out, steps = evaluate_steps(sys, App("h", (nat(1),)))
-    assert steps == 1 and same_term(out, nat(n + 1))
+    with compiles() as compiled:
+        # untabled, tabled, and again from the table
+        for known in (None, table, table):
+            out, steps = evaluate_steps(sys, t, table=known)
+            assert steps == 3 and same_term(out, nat(2 * n + 1))
+        out, steps = evaluate_steps(sys, App("h", (nat(1),)))
+        assert steps == 1 and same_term(out, nat(n + 1))
+    assert compiled == ([sys] if tier == 0 else [])
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -180,16 +182,52 @@ def test_redex_skeleton_marks_the_positions_that_can_hold_a_redex():
         assert redex_skeleton(rhs, defined) == shape, rhs
 
 
-def test_contractum_whose_root_is_a_call_over_normal_arguments():
-    # rev2's step rule has the skeleton (): its contractum is the next redex
+def rev2_system() -> RewriteSystem:
+    """List reversal with an accumulator: each step's contractum is the next redex."""
     x, l, acc = Var("x"), Var("l"), Var("acc")
-    sys = RewriteSystem(
+    return RewriteSystem(
         [
             Rule(App("rev2", (App("nil"), acc)), acc),
             Rule(App("rev2", (App("cons", (x, l)), acc)), App("rev2", (l, App("cons", (x, acc))))),
         ],
         [Signature("rev2", ("list", "list"), "list")],
     )
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_deep_inputs_are_evaluated_without_recursion(tier):
+    # rev2 reverses a long list by tail calls; add_system's s(add(x, y)) waits
+    # on each recursive call, so its calls nest as deep as its input; and a
+    # call can sit at the bottom of a deep constructor term
+    n = 10 * getrecursionlimit()
+    elems = [nat(i % 3) for i in range(n)]
+    open_list = Var("a")
+    for e in reversed(elems):
+        open_list = App("cons", (e, open_list))
+    tower = App("add", (nat(2), nat(1)))
+    for _ in range(n):
+        tower = App("s", (tower,))
+    nil = App("nil")
+    with hot_steps(tier):
+        rev2, add = rev2_system(), add_system()
+    cases = [
+        (rev2, App("rev2", (lst(*elems), nil)), n + 1, (lst(*reversed(elems)), n + 1)),
+        (rev2, App("rev2", (lst(*elems), nil)), n, (StepLimitExceeded, n)),
+        (rev2, App("rev2", (open_list, nil)), n + 1,
+         (StuckTerm, App("rev2", (Var("a"), lst(*reversed(elems)))))),
+        (add, App("add", (nat(n), nat(n))), n + 1, (nat(2 * n), n + 1)),
+        (add, App("add", (nat(n), nat(n))), n, (StepLimitExceeded, n)),
+        (add, tower, 3, (nat(n + 3), 3)),
+    ]
+    with compiles() as compiled:
+        for sys, t, limit, expected in cases:
+            assert outcome(evaluate_steps, sys, t, limit) == expected
+    assert compiled == ([rev2, add] if tier == 0 else [])
+
+
+def test_contractum_whose_root_is_a_call_over_normal_arguments():
+    # rev2's step rule has the skeleton (): its contractum is the next redex
+    sys = rev2_system()
     assert sys.index["rev2"][1]["cons"][0][2] == ()
     nil = App("nil")
     cases = [
@@ -290,28 +328,76 @@ def test_rule_defect_names_the_first_defect_in_pre_order():
 
 
 def test_a_system_turns_hot_between_calls_that_share_a_table():
+    # tabled calls neither count toward HOT_STEPS nor run the compiled
+    # evaluator; the untabled calls among them turn the system hot
     a = Var("a")
-    calls = [App("add", (nat(3), nat(2))),          # 4 steps: still cold
-             App("add", (App("s", (a,)), nat(0))),  # stuck on add(a, 0), tabled as stuck
-             App("add", (nat(7), nat(1))),          # 8 more steps: hot on return
-             App("add", (nat(5), nat(2))),          # add(3, 2) found in the table
-             App("add", (nat(2), App("s", (a,)))),
-             App("add", (nat(2), nat(2))),          # all in the table
-             App("add", (App("s", (App("s", (a,)),)), nat(0)))]  # stuck, from the table
+    calls = [(App("add", (nat(3), nat(2))), True, 100),          # 4 steps, not counted
+             (App("add", (App("s", (a,)), nat(0))), False, 100),  # 1 step, stuck on add(a, 0)
+             (App("add", (nat(7), nat(1))), False, 100),          # 8 steps: 9 in all
+             (App("add", (nat(5), nat(2))), True, 100),           # add(3, 2) in the table
+             (App("add", (nat(2), App("s", (a,)))), False, 1),    # 1 step to the limit: hot
+             (App("add", (nat(2), nat(2))), True, 100),           # all in the table
+             (App("add", (App("s", (App("s", (a,)),)), nat(0))), False, 100),  # stuck, compiled
+             (App("add", (App("s", (App("s", (a,)),)), nat(0))), True, 100),   # stuck, tabled
+             (App("add", (nat(1), nat(1))), False, 100)]
     with hot_steps(10):
         sys = add_system()
-        table = {}
-        hot = []
-        for t in calls:
-            result = outcome(lambda *args: evaluate_steps(*args, table), sys, t, 100)
-            assert result == outcome(untabled_evaluate_steps, sys, t, 100)
+    table = {}
+    hot = []
+    with compiles() as compiled:
+        for t, tabled, limit in calls:
+            result = outcome(lambda *args: evaluate_steps(*args, table if tabled else None),
+                             sys, t, limit)
+            assert result == outcome(untabled_evaluate_steps, sys, t, limit)
             hot.append(is_hot(sys))
-        assert hot == [False, False, True, True, True, True, True]
-        # and within one coverage check
-        examples = [eq("add", t.args, nat(6)) for t in calls]
+    assert hot == [False, False, False, False, True, True, True, True, True]
+    assert compiled == [sys]
+    # a coverage check is tabled throughout: however many steps it takes, the
+    # system stays cold
+    examples = [eq("add", t.args, nat(6)) for t, _, _ in calls]
+    with hot_steps(1):
         sys = add_system()
-        assert covers_all(sys, examples, 100) == untabled_covers_all(sys, examples, 100)
-        assert is_hot(sys)
+    assert covers_all(sys, examples, 100) == untabled_covers_all(sys, examples, 100)
+    assert not is_hot(sys)
+
+
+def test_calls_that_end_in_an_error_count_toward_turning_hot():
+    a = Var("a")
+    with hot_steps(10):
+        sys = add_system()
+    with compiles() as compiled:
+        with pytest.raises(StuckTerm):  # 2 steps, then stuck on add(a, 0)
+            evaluate_steps(sys, App("add", (App("s", (App("s", (a,)),)), nat(0))))
+        with pytest.raises(StepLimitExceeded):  # 7 steps
+            evaluate_steps(sys, App("add", (nat(20), nat(0))), 7)
+        assert not is_hot(sys)
+        with pytest.raises(StepLimitExceeded):  # 1 step: 10 in all
+            evaluate_steps(sys, App("add", (nat(20), nat(0))), 1)
+        assert is_hot(sys) and compiled == []
+        t = App("add", (App("s", (a,)), nat(0)))
+        assert outcome(evaluate_steps, sys, t, 100) == (StuckTerm, App("add", (a, nat(0))))
+    assert compiled == [sys]
+
+
+def test_learning_compiles_nothing_and_a_hot_system_compiles_once():
+    pairs = [(a, b) for a in range(16) for b in range(16) if a + b < 18]
+    examples = [eq("add", (nat(a), nat(b)), nat(a + b)) for a, b in pairs]
+    assert len(examples) == 165
+    t = App("add", (nat(40), nat(40)))
+    with compiles() as compiled:
+        report = induce("add", examples, nat_env(), [Signature("add", ("nat", "nat"), "nat")])
+        assert report.success and compiled == []
+        system = report.system
+        expected = evaluate_steps(system, t)
+        taken = expected[1]
+        while taken < rewrite.HOT_STEPS:
+            assert not is_hot(system)
+            assert evaluate_steps(system, t) == expected
+            taken += expected[1]
+        assert is_hot(system) and compiled == []
+        for _ in range(3):
+            assert evaluate_steps(system, t) == expected
+    assert compiled == [system]
 
 
 # names that would break out of a string literal, a line or a call if they
@@ -320,15 +406,15 @@ NASTY = ["x'); raise SystemExit('", 'q"]]\n#', "(", "\\", "0", "a b", "\u2028", 
          "v0", "App", ")\n    return None\n#"]
 
 
-def test_generated_matchers_hold_names_only_as_literals(monkeypatch):
+def test_the_generated_evaluator_holds_names_only_as_literals(monkeypatch):
     sources = []
 
-    def recording(lhs, parts):
-        source, constants = matcher_source(lhs, parts)
+    def recording(system):
+        source, constants = evaluator_source(system)
         sources.append(source)
         return source, constants
 
-    monkeypatch.setattr(codegen, "matcher_source", recording)
+    monkeypatch.setattr(codegen, "evaluator_source", recording)
     f, g, k, s, p = NASTY[:5]
     x, y, u, v, w = map(Var, NASTY[5:10])
     rules = [
@@ -340,26 +426,31 @@ def test_generated_matchers_hold_names_only_as_literals(monkeypatch):
     cold = RewriteSystem(rules, sigs)
     with hot_steps(0):
         hot = rebuilt(cold)
-    assert is_hot(hot) and not is_hot(cold) and len(sources) == 3
     two = App(s, (App(s, (App(k),)),))
     for t, steps in ((App(f, (two, App(k))), 5), (App(f, (two, Var("z"))), 5),
-                     (App(f, (App(s, (Var("z"),)), two)), None)):
+                     (App(f, (App(s, (Var("z"),)), two)), None),
+                     (App(s, (App(f, (two, App(k))), App(g, (two, two)))), None)):
         expected = outcome(restarting_evaluate_steps, cold, t, 100)
         assert expected[1] == steps or expected[0] is StuckTerm
         assert outcome(evaluate_steps, cold, t, 100) == expected
         assert outcome(evaluate_steps, hot, t, 100) == expected
+    assert is_hot(hot) and not is_hot(cold) and len(sources) == 1
     names = set(NASTY)
-    for source in sources:
-        tree = ast.parse(source)
-        [match] = tree.body
-        assert isinstance(match, ast.FunctionDef) and match.name == "match"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                assert re.fullmatch(r"t|App|len|[cv]\d+", node.id), node.id
-            elif isinstance(node, ast.Constant):
-                assert node.value in names or isinstance(node.value, int) or node.value is None
-            elif isinstance(node, ast.Call):
-                assert node.func.id in ("App", "len")
+    tree = ast.parse(sources[0])
+    [run] = tree.body
+    assert isinstance(run, ast.FunctionDef) and run.name == "run"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            assert re.fullmatch(r"[acnx]\d+|_|[aikmnr]|calls|done|h|head|arity|nargs|node|"
+                                r"pc|pop|push|scan|stack|steps|step_limit|t|App|StuckTerm|"
+                                r"StepLimitExceeded|any|is_not|len|list|map|tuple",
+                                node.id), node.id
+        elif isinstance(node, ast.Constant):
+            assert node.value in names or isinstance(node.value, int) or node.value is None
+        elif isinstance(node, ast.Call):
+            func = node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            assert func in ("App", "StuckTerm", "StepLimitExceeded", "any", "append", "len",
+                            "list", "map", "pop", "push", "tuple")
 
 
 def test_evaluate_normal_form_is_fixed_point():
@@ -431,6 +522,35 @@ def test_variable_at_the_index_position_is_stuck_as_in_a_scan():
             restarting_evaluate_steps(sys, term)
         assert info.value.term == scanned.value.term == term
     assert evaluate(sys, App("f", (nat(1), nat(0)))) == nat(1)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_terms_with_another_arity_match_no_rule(tier):
+    # well-sorted terms never hold them, but the library API builds them: a
+    # constructor with another arity than a pattern's, at the index position
+    # and below it, a call of a defined symbol with another arity, in the
+    # input and in a rhs
+    x, y = Var("x"), Var("y")
+    with hot_steps(tier):
+        sys = RewriteSystem(
+            [
+                Rule(App("f", (App("s", (App("s", (x,)),)), y)), x),
+                Rule(App("f", (App("0"), y)), App("f", (y,))),
+            ],
+            [Signature("f", ("nat", "nat"), "nat")],
+        )
+    zero = nat(0)
+    stuck = [App("f", (App("s", (zero, zero)), zero)),
+             App("f", (App("s", (App("s", (zero, zero)),)), zero)),
+             App("f", (App("0", (zero,)), zero))]
+    cases = [(t, (StuckTerm, t)) for t in stuck] + [
+        (App("s", (App("f", (nat(2),)),)), (StuckTerm, App("f", (nat(2),)))),
+        (App("f", (zero, nat(3))), (StuckTerm, App("f", (nat(3),)))),
+        (App("f", (nat(3), zero)), (nat(1), 1)),
+    ]
+    for t, expected in cases:
+        assert outcome(restarting_evaluate_steps, sys, t, 10) == expected
+        assert outcome(evaluate_steps, sys, t, 10) == expected
 
 
 def test_innermost_arguments_evaluated_first():
