@@ -134,9 +134,7 @@ def run_problem(problem: Problem, *, inline: bool = False, trace: bool = True,
                   f"{u.member.render()} needs {render_term(u.call)}", file=out)
         for ex in report.failure.uncovered:
             print(f"uncovered example: {ex.render()}", file=out)
-        if json_path:
-            _write_json(json_path, export_json(report, problem))
-        return 1
+        return _write_json(json_path, export_json(report, problem), 1, err) if json_path else 1
 
     system = prune_irrelevant_args(report.system, keep={problem.target})
     if inline:
@@ -164,15 +162,19 @@ def run_problem(problem: Problem, *, inline: bool = False, trace: bool = True,
     print("FUNCTION DEFINITIONS:", file=out)
     for rule in system.rules:
         print(rule.render(), file=out)
-    if json_path:
-        _write_json(json_path, export_json(report, problem, system))
-    return 0
+    return _write_json(json_path, export_json(report, problem, system), 0, err) if json_path else 0
 
 
-def _write_json(path: str, doc: dict):
+def _write_json(path: str, doc: dict, code: int, err) -> int:
+    """Write doc's report to path, and give code, or 2 when path cannot be written."""
     text = _dumps(doc) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: {e}", file=err)
+        return 2
+    return code
 
 
 _SCALAR_JSON = {

@@ -1,5 +1,7 @@
 """The compiled tier of `rewrite.evaluate_steps`: a hot system as one generated function.
 
+The function evaluates a root call over normal arguments; the generic loop
+of `evaluate_steps` walks any other input.
 `rewrite` loads this module when the first system turns hot, so runs whose
 systems all stay cold do not.
 """
@@ -7,86 +9,33 @@ systems all stay cold do not.
 from __future__ import annotations
 
 import itertools
-from operator import is_not
 
 from .rewrite import StepLimitExceeded, StuckTerm
 from .terms import App, Var, fold
 
-# The labels of the blocks that every evaluator has: return the result,
-# resume the walk of the input once one of its calls returned, walk on.
-DONE, RESUME, WALK = 0, 1, 2
+# The label of the block that returns the result.
+DONE = 0
 
-# The walk of an input term that holds calls below its root: the generic
-# frame loop of `evaluate_steps` on the continuation stack, with frames
-# `(RESUME, node, normal forms of its arguments so far)`.  An argument that
-# is a variable, or a constant that is not a call, is normal as it stands; a
-# node whose arguments are all done is returned, rebuilt only when one of
-# them changed, unless it is a call.  A call with as many arguments as its
-# symbol has passes them in a0, a1, ... and jumps to its symbol's block; with
-# another number it is stuck.
-_WALK = f"""\
-if pc == {RESUME}:
-    _, node, done = k
-    done.append(r)
-    pc = {WALK}
-if pc == {WALK}:
-    nargs = node.args
-    i = len(done)
-    while i < len(nargs):
-        a = nargs[i]
-        if a.__class__ is App and (a.args or a.head in calls):
-            break
-        done.append(a)
-        i += 1
-    if i < len(nargs):
-        push(({RESUME}, node, done))
-        done = []
-        if a.args:
-            node = a
-            continue
-        head = a.head
-    else:
-        head = node.head
-        if head not in calls:
-            r = App(head, tuple(done)) if any(map(is_not, done, nargs)) else node
-            k = pop()
-            pc = k[0]
-            continue
-    arity, pc = calls[head]
-    if len(done) != arity:
-        raise StuckTerm(App(head, tuple(done)))
-"""
-
-
-# Before the loop: an input whose arguments hold no call, as most inputs,
-# is normal below its root, and is not walked.
+# Before the loop: the root call passes its arguments in a0, a1, ... and
+# jumps to its symbol's block; with another number of arguments it is stuck.
 _START = f"""\
 steps = 0
 stack = [({DONE},)]
 push = stack.append
 pop = stack.pop
-node = t
-done = []
-pc = {WALK}
-scan = list(t.args)
-while scan:
-    a = scan.pop()
-    if a.__class__ is App:
-        if a.head in calls:
-            break
-        scan += a.args
-else:
-    done = list(t.args)
+arity, pc = calls[t.head]
+if len(t.args) != arity:
+    raise StuckTerm(t)
 """
 
 
 def compile_system(sys):
-    """`run(t, step_limit)`: for an App t, what `rewrite.evaluate_steps(sys, t, step_limit)`
-    gives without a table, the normal form and the step count or the same exception."""
+    """`run(t, step_limit)`: for a call t of a symbol of sys over normal arguments, what
+    `rewrite.evaluate_steps(sys, t, step_limit)` gives without a table, the normal form
+    and the step count or the same exception."""
     source, constants = evaluator_source(sys)
     namespace = {"__builtins__": {}, "App": App, "StuckTerm": StuckTerm,
-                 "StepLimitExceeded": StepLimitExceeded, "any": any, "is_not": is_not,
-                 "len": len, "list": list, "map": map, "tuple": tuple, **constants}
+                 "StepLimitExceeded": StepLimitExceeded, "len": len, **constants}
     exec(source, namespace)
     return namespace["run"]
 
@@ -106,11 +55,13 @@ def evaluator_source(sys) -> tuple:
     match locals, and a defined call pushes the values that later code
     reads, with a label whose block resumes there, unless it is the rhs
     root.  A redex is built only for the StuckTerm of a call that no rule
-    matches.  The input is walked as `evaluate_steps` walks it, on the same
-    stack.  No block nests deeper with more rules, symbols or larger terms,
-    and no name of sys is in the source other than as a `repr()` literal.
+    matches.  `run` starts at the block of its input's root call, whose
+    arguments are normal: `evaluate_steps` walks every other input in its
+    generic loop.  No block nests deeper with more rules, symbols or larger
+    terms, and no name of sys is in the source other than as a `repr()`
+    literal.
     """
-    labels = itertools.count(WALK + 1)
+    labels = itertools.count(DONE + 1)
     entry = {name: next(labels) for name in sys.sig_by_name}
     calls = {name: (s.arity, entry[name]) for name, s in sys.sig_by_name.items()}
     constants = {"calls": calls}
@@ -137,14 +88,12 @@ def evaluator_source(sys) -> tuple:
             lines += tries if key is None else [f"if h == {key!r}:", *_indent(tries)]
         lines.append(f"raise StuckTerm(App({name!r}, ({_items(_args(calls[name][0]))})))")
         blocks += [(entry[name], lines), *resumes]
-    walk = _WALK.splitlines()
+    source = ["def run(t, step_limit):", *_indent(_START.splitlines())]
     for arity in sorted({arity for arity, _ in calls.values()} - {0}):
-        walk += [f"    if arity == {arity}:", f"        {_items(_args(arity))}= done"]
-    walk.append("    continue")
-    source = ["def run(t, step_limit):", *_indent(_START.splitlines()), "    while True:"]
+        source += [f"    if arity == {arity}:", f"        {_items(_args(arity))}= t.args"]
+    source.append("    while True:")
     for label, lines in blocks:
         source += [f"        if pc == {label}:", *_indent(lines, "            ")]
-    source += _indent(walk, "        ")
     source += [f"        if pc == {DONE}:", "            return r, steps"]
     return "\n".join(source) + "\n", constants
 

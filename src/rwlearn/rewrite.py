@@ -133,9 +133,11 @@ class RewriteSystem:
 
     A system is cold until the `evaluate_steps` calls on it without a table
     have taken `HOT_STEPS` steps in all, as it stood when the system was
-    built (`steps_to_hot` counts down).  Then it is hot, and such calls run
-    `compiled`, the evaluator that `codegen.compile_system` generates for it
-    when one first needs it.  Tabled calls neither count nor run it.
+    built (`steps_to_hot` counts down).  Then it is hot, and such calls whose
+    input is a defined call over normal arguments run `compiled`, the
+    evaluator that `codegen.compile_system` generates for it when one first
+    needs it.  Tabled calls neither count nor run it, and the generic loop
+    of `evaluate_steps` walks every other input, hot or cold.
     """
 
     def __init__(self, rules, signatures):
@@ -219,8 +221,9 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     every step without going back to the root, so a step costs the part of
     its rule's rhs that can hold a redex, not the size of the term.
 
-    An untabled call on a hot sys runs `sys.compiled`, which does all this
-    in code generated for sys's rules.  Any other call runs the generic
+    An untabled call on a hot sys whose t is a defined call over normal
+    arguments runs `sys.compiled`, which does all this in code generated
+    for sys's rules.  Any other call, whatever the tier, runs the generic
     loop below, over an explicit stack: it matches by `match_pattern`, and
     walks the rule's rhs with the binding along its `shape`, the positions
     that hold a defined call or lie above one.  A normal part of the rhs is
@@ -229,7 +232,7 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     instantiated and contracted at once, and a node above a call is built
     once, over the normal forms of its arguments.  Both contract the same
     redexes with the same rules.  With normal_args the caller vouches that
-    t's arguments are normal, and the generic loop does not walk them.
+    t's arguments are normal, and neither tier scans or walks them.
 
     Raises StuckTerm when a defined-symbol subterm with normal arguments
     matches no rule (it can never become reducible), and StepLimitExceeded
@@ -244,7 +247,8 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     """
     if isinstance(t, Var):
         return t, 0
-    if table is None and sys.steps_to_hot <= 0:
+    if table is None and sys.steps_to_hot <= 0 and t.head in sys.index and (
+            normal_args or _normal_args(t, sys.index)):
         return sys.compiled(t, step_limit)
     index = sys.index
     steps = 0
@@ -327,6 +331,18 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
     finally:
         if table is None:  # what it took counts toward sys turning hot, however it ended
             sys.steps_to_hot -= steps
+
+
+def _normal_args(t: App, defined) -> bool:
+    """Whether no argument of t holds a symbol in defined, by one scan without recursion."""
+    scan = list(t.args)
+    while scan:
+        a = scan.pop()
+        if a.__class__ is App:
+            if a.head in defined:
+                return False
+            scan += a.args
+    return True
 
 
 def _stuck(term: App, steps: int, table, frames, opened) -> StuckTerm:

@@ -147,6 +147,16 @@ def test_json_export_on_failure(tmp_path):
     assert doc["coverage"]["uncovered"]
 
 
+@pytest.mark.parametrize("name, report_head", [("add.tl", "FUNCTION DEFINITIONS:"),
+                                                ("sq.tl", "SYNTHESIS FAILED:")])
+def test_an_unwritable_json_path_is_an_input_error(tmp_path, name, report_head):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_main(str(PROBLEMS / name), "--no-trace", "--json", str(path))
+    assert code == 2 and report_head in out
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not path.parent.exists()
+
+
 def test_term_json_roundtrip():
     t = App("cons", (Var("x"), App("nil")))
     assert term_from_json(term_to_json(t)) == t

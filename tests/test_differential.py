@@ -10,10 +10,10 @@ term or limit.  With a table shared across calls it must give what the
 untabled loop `untabled_evaluate_steps` gives on each call alone, and
 `rewrite.covers_all` what `untabled_covers_all` gives, in the same order.
 All of this holds at both tiers of the evaluator: with every call run by
-the generic loop, with every untabled call by the system's compiled
-evaluator, and with a system that turns hot between two calls.  The
-compiled evaluator is one function that does not call itself, and its
-blocks nest no deeper for larger systems or terms.
+the generic loop, with every untabled evaluation of a root call over normal
+arguments run by the compiled evaluator, and with a system that turns hot
+between two calls.  The compiled evaluator is one function that does not
+call itself, and its blocks nest no deeper for larger systems or terms.
 `terms.match_pattern` must return the binding of `closure_match_pattern`, in
 the same key order, and `terms.substitute` the instance that
 `closure_substitute` builds.  `learner.derive_aux_examples`,
