@@ -32,7 +32,6 @@ from .terms import (
     renaming_key,
     renaming_match,
     substitute,
-    term_vars,
 )
 
 
@@ -296,12 +295,16 @@ def induce(target: str, examples, env: SortEnv, sigs,
     if target not in sig_map:
         raise ValueError(f"no signature for {target}")
     reserved = set(sig_map) | env.symbols()
-    for ex in examples:
-        reserved.update(term_vars(ex.lhs))
-        reserved.update(term_vars(ex.rhs))
+    stack = [t for ex in examples for t in (*ex.lhs_args, ex.rhs)]
+    while stack:  # every example variable, by one walk without recursion
+        t = stack.pop()
+        if t.__class__ is Var:
+            reserved.add(t.name)
+        else:
+            stack += t.args
     report = InduceReport(target)
     ctx = _Ctx(env, cfg, FreshNames(reserved), report)
-    rules, aux_sigs, uncovered = _induce(ctx, target, examples, sig_map, 0, frozenset())
+    rules, aux_sigs, uncovered, _ = _induce(ctx, target, examples, sig_map, 0, frozenset())
     if rules is not None:
         # the attempt that built these rules evaluated every example against
         # them; this system only declares fewer rule-less signatures
@@ -320,10 +323,19 @@ def _render_eqs(examples) -> str:
 
 
 def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
-    """Returns (rules or None on failure, aux signatures, uncovered).
+    """Returns (rules or None on failure, aux signatures, uncovered, table).
 
     uncovered lists the examples that the last assembled system left
-    uncovered: empty on success, None when no system was assembled.
+    uncovered: empty on success, None when no system was assembled.  table
+    is the coverage table of the successful check, None on failure.
+
+    A candidate that adopts a learned auxiliary's rules starts its coverage
+    table from the entries of that auxiliary's table whose redex is rooted
+    at a symbol those rules define.  The candidate holds the rules verbatim
+    and in order, their right-hand sides call only symbols they define, and
+    both checks run with the same step limit, so each such entry is what the
+    candidate's own evaluation would record.  A candidate without rules is
+    not evaluated: every example is stuck at its root.
     """
     cfg = ctx.cfg
     level = 2 * layer
@@ -331,11 +343,11 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
         if layer > cfg.max_recursion_depth:
             ctx.capped = True
             ctx.emit(level + 1, "cap", f"recursion depth cap {cfg.max_recursion_depth} exceeded")
-            return None, [], None
+            return None, [], None, None
         key = _canonical_example_set(examples)
         if detect_repetition(history, key):
             ctx.emit(level + 1, "repetition", "repeated example set, aborting branch")
-            return None, [], None
+            return None, [], None, None
         history = history | {key}
         sig = sig_map[fn]
 
@@ -343,11 +355,12 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
             rule = generalize_examples(fn, examples, cfg.depth, ctx.fresh.var)
             if rule is not None:
                 candidate = RewriteSystem([rule], sig_map.values())
-                ok, uncovered = covers_all(candidate, examples, cfg.step_limit)
+                table = {}
+                ok, uncovered = covers_all(candidate, examples, cfg.step_limit, table)
                 if ok:
                     ctx.emit(level + 1, "anti-unifier", f"anti-unifier: {rule.render()}")
                     ctx.emit(level + 1, "covered", "all examples covered")
-                    return [rule], [], uncovered
+                    return [rule], [], uncovered, table
 
         uncovered = None
         for position in range(sig.arity):
@@ -355,6 +368,7 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
             rules: list[Rule] = []
             aux_rules: list[Rule] = []
             aux_sigs: list[Signature] = []
+            table = {}
             abandoned = True  # unless every constructor alternative is learned
             for alt in ctx.env.alternatives(sig.domain[position]):
                 with ctx.bracket(level + 1, "inducePos",
@@ -397,7 +411,7 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
                             UnderivableExample(aux_name, layer + 1, member, call))
                     if not derived:
                         break
-                    sub_rules, sub_aux, _ = _induce(
+                    sub_rules, sub_aux, _, sub_table = _induce(
                         ctx, aux_name, [eq for eq, _ in derived],
                         {**sig_map, aux_name: scheme.aux_sig}, layer + 1, history)
                     if sub_rules is None:
@@ -405,13 +419,19 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
                     rules.append(Rule(scheme.lhs, scheme.rhs))
                     aux_rules.extend(sub_rules)
                     aux_sigs += [scheme.aux_sig, *sub_aux]
+                    heads = {rule.lhs.head for rule in sub_rules}
+                    table.update((redex, entry) for redex, entry in sub_table.items()
+                                 if redex.head in heads)
             else:
                 abandoned = False
             candidate = RewriteSystem(rules + aux_rules, list(sig_map.values()) + aux_sigs)
-            ok, uncovered = covers_all(candidate, examples, cfg.step_limit)
+            if rules:
+                ok, uncovered = covers_all(candidate, examples, cfg.step_limit, table)
+            else:
+                ok, uncovered = False, list(examples)
             ctx.report.attempts.append(PositionAttempt(fn, position, candidate, uncovered))
             if ok and not abandoned:
                 ctx.emit(level + 1, "covered", "all examples covered")
-                return rules + aux_rules, aux_sigs, uncovered
+                return rules + aux_rules, aux_sigs, uncovered, table
             ctx.emit(level + 1, "uncovered", "uncovered examples: ", tuple(uncovered))
-        return None, [], uncovered
+        return None, [], uncovered, None

@@ -374,12 +374,17 @@ def covers(sys: RewriteSystem, ex: IOEquation, step_limit: int = 10000, table=No
     return same_term(normal_form, ex.rhs)
 
 
-def covers_all(sys: RewriteSystem, examples, step_limit: int = 10000):
+def covers_all(sys: RewriteSystem, examples, step_limit: int = 10000, table=None):
     """(all covered?, list of uncovered examples).
 
     The examples share one table of redex normal forms, so work that one
-    example's evaluation shares with another's is done once.
+    example's evaluation shares with another's is done once.  table, when
+    given, is that table: a dict owned by the caller, which may hold entries
+    already and gets the new ones.  Each entry must be what an evaluation on
+    sys with step_limit would record for its redex (see `evaluate_steps`),
+    or the result is not that of a fresh table.
     """
-    table = {}
+    if table is None:
+        table = {}
     uncovered = [ex for ex in examples if not covers(sys, ex, step_limit, table)]
     return not uncovered, uncovered

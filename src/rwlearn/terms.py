@@ -68,7 +68,23 @@ class App:
         self._hash = None
 
     def __repr__(self):
-        return f"App({self.head!r}, {self.args!r})" if self.args else f"App({self.head!r})"
+        """`App('h', (arg, ...))`, or `App('h')` for a constant, built with an
+        explicit stack of terms and separators, like `render_term`."""
+        out = []
+        stack = [self]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is not App:
+                out.append(u if u.__class__ is str else repr(u))
+            elif u.args:
+                out.append(f"App({u.head!r}, (")
+                stack.append(",))" if len(u.args) == 1 else "))")
+                for a in u.args[:0:-1]:
+                    stack += (a, ", ")
+                stack.append(u.args[0])
+            else:
+                out.append(f"App({u.head!r})")
+        return "".join(out)
 
     def __eq__(self, other):
         if self is other:

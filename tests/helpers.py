@@ -74,6 +74,40 @@ def eq(fn, args, rhs) -> IOEquation:
     return IOEquation(fn, tuple(args), rhs)
 
 
+def size_shape_examples(rng, count: int, max_nodes: int = 7) -> list:
+    """size i/o equations over at least count distinct tree shapes, in seeded order.
+
+    The shapes are random trees of up to max_nodes inner nodes and all their
+    subtrees, and element variables are distinct per example: the size sets
+    of the benchmark's learn_scale workload are drawn so.
+    """
+    nodes = {None: 0}  # shape -> inner nodes; None is a leaf, (left, right) an inner node
+
+    def random_shape(n):
+        if n == 0:
+            return None
+        left = rng.randrange(n)
+        return random_shape(left), random_shape(n - 1 - left)
+
+    def add(shape):
+        if shape not in nodes:
+            add(shape[0])
+            add(shape[1])
+            nodes[shape] = nodes[shape[0]] + nodes[shape[1]] + 1
+
+    def tree(shape, names):
+        if shape is None:
+            return App("nl")
+        left = tree(shape[0], names)
+        return App("nd", (left, Var(f"e{next(names)}"), tree(shape[1], names)))
+
+    while len(nodes) < count:
+        add(random_shape(rng.randint(1, max_nodes)))
+    shapes = list(nodes)
+    rng.shuffle(shapes)
+    return [eq("size", (tree(s, itertools.count()),), nat(nodes[s])) for s in shapes]
+
+
 def load_problem(name: str, **cfg):
     problem = parse_problem((PROBLEMS / name).read_text())
     if cfg:

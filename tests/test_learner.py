@@ -1,12 +1,13 @@
 """Unit tests for scheme construction, example derivation and the learner."""
 
 import random
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwlearn import InduceConfig, induce, learner
+from rwlearn import InduceConfig, induce, learner, rewrite
 from rwlearn.learner import (
     FreshNames,
     _canonical_example_set,
@@ -28,7 +29,9 @@ from helpers import (
     nat_env,
     random_term,
     run_file,
+    size_shape_examples,
     tree_env,
+    untabled_covers_all,
 )
 
 
@@ -339,3 +342,135 @@ def test_success_evaluates_coverage_once_per_attempt(monkeypatch):
     _, report = run_file("add.tl")
     assert report.success
     assert len(calls) == len(report.attempts)
+
+
+def layer_examples(report, examples) -> dict:
+    """The examples of each function's coverage checks: the target's, and each auxiliary's
+    derived set."""
+    by_fn = {report.target: list(examples)}
+    for aux, _layer, ex in report.derived_aux:
+        by_fn.setdefault(aux, []).append(ex)
+    return by_fn
+
+
+@contextmanager
+def coverage_checks():
+    """(system, redexes its table held before the check) of each coverage check in learner."""
+    checks = []
+
+    def recording(system, examples, step_limit, table=None):
+        checks.append((system, list(table or ())))
+        return covers_all(system, examples, step_limit, table)
+
+    with mock.patch.object(learner, "covers_all", recording):
+        yield checks
+
+
+def assert_seeded_coverage_is_exact(target, examples, env, sigs, cfg=None):
+    """Every attempt's uncovered examples are those each example's own untabled
+    evaluation leaves, in order, and every redex that a check's table held
+    before the check is rooted at a symbol of the auxiliaries below the
+    checked function: none at that function or a layer above it.  Returns
+    how many checks started from a seeded table."""
+    with coverage_checks() as checks:
+        report = induce(target, examples, env, sigs, cfg)
+    by_fn = layer_examples(report, examples)
+    step_limit = (cfg or InduceConfig()).step_limit
+    for attempt in report.attempts:
+        _, expected = untabled_covers_all(attempt.candidate, by_fn[attempt.fn], step_limit)
+        assert attempt.uncovered == expected
+    learned_below = {a.candidate: {r.lhs.head for r in a.candidate.rules} - {a.fn}
+                     for a in report.attempts}
+    for system, seeded in checks:
+        if system in learned_below:  # the whole-set anti-unifier's check has no attempt
+            assert {redex.head for redex in seeded} <= learned_below[system]
+    return sum(bool(seeded) for _, seeded in checks)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_seeded_coverage_agrees_with_untabled_coverage(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.2:
+        env, sig = tree_env(), Signature("size", ("tree",), "nat")
+        args = ("size", size_shape_examples(rng, rng.randint(2, 25)), env, [sig])
+    else:
+        args = random_small_problem(rng)
+    # a small limit ends some evaluations, tabled or not, at the same step
+    cfg = InduceConfig(step_limit=rng.choice([10000, rng.randint(1, 30)]))
+    assert_seeded_coverage_is_exact(*args, cfg)
+
+
+@pytest.mark.parametrize("name, cfg", SEED_PROBLEMS)
+def test_seeded_coverage_agrees_with_untabled_coverage_on_seed_problems(name, cfg):
+    problem = load_problem(name, **cfg)
+    assert_seeded_coverage_is_exact(problem.target, problem.examples, problem.sort_env,
+                                    problem.signatures, problem.config)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_coverage_agrees_with_untabled_coverage_on_a_large_size_set(seed):
+    env, sig = tree_env(), Signature("size", ("tree",), "nat")
+    examples = size_shape_examples(random.Random(seed), 75)
+    assert assert_seeded_coverage_is_exact("size", examples, env, [sig]) > 0
+
+
+def test_a_seeded_table_leaves_out_redexes_of_the_layers_above():
+    """An auxiliary's system has no rule for the target, so a call of the target is stuck
+    there; a table entry saying so must not reach the target's check, whose system
+    evaluates that call.  The entry is put into each successful auxiliary's table
+    by hand: an auxiliary whose examples hold such a call never succeeds."""
+    problem = load_problem("add.tl")
+    add = lambda a, b: App("add", (a, b))
+    examples = [*problem.examples,
+                eq("add", (add(nat(0), nat(1)), nat(0)), nat(1)),
+                eq("add", (App("s", (add(nat(0), nat(1)),)), nat(0)), nat(2)),
+                eq("add", (nat(1), add(nat(1), nat(1))), nat(3))]
+    args = ("add", examples, problem.sort_env, problem.signatures)
+    stuck_call = add(nat(0), nat(1))
+    inner = learner._induce
+
+    def stuck_target_call_induce(ctx, fn, *rest):
+        rules, aux_sigs, uncovered, table = inner(ctx, fn, *rest)
+        if table is not None and fn != "add":
+            table[stuck_call] = (stuck_call, 0, True)
+        return rules, aux_sigs, uncovered, table
+
+    def fresh_table_covers_all(system, examples, step_limit, table=None):
+        return covers_all(system, examples, step_limit)
+
+    def outcome(report):
+        return (report.system and [r.render() for r in report.system.rules],
+                [(a.fn, a.position, a.uncovered) for a in report.attempts])
+
+    with mock.patch.object(learner, "_induce", stuck_target_call_induce):
+        assert assert_seeded_coverage_is_exact(*args) > 0
+        seeded = induce(*args)
+    with mock.patch.object(learner, "covers_all", fresh_table_covers_all):
+        fresh = induce(*args)
+    assert seeded.success
+    assert outcome(seeded) == outcome(fresh)
+
+
+def test_a_candidate_without_rules_is_not_evaluated():
+    # f8's first argument is the tree's element, a variable in every example
+    problem = load_problem("size.tl")
+    evaluated = []
+    evaluate_steps = rewrite.evaluate_steps
+
+    def recording_evaluate_steps(system, *rest):
+        evaluated.append(system)
+        return evaluate_steps(system, *rest)
+
+    with mock.patch.object(rewrite, "evaluate_steps", recording_evaluate_steps):
+        report = induce(problem.target, problem.examples, problem.sort_env,
+                        problem.signatures, problem.config)
+    first = report.attempts[0]
+    assert (first.fn, first.position, first.candidate.rules) == ("f8", 0, ())
+    assert first.uncovered == layer_examples(report, problem.examples)["f8"]
+    assert all(system is not first.candidate for system in evaluated)
+    assert evaluated  # the other attempts are evaluated
+    assert next(e for e in report.trace if e.kind == "uncovered").text == (
+        "uncovered examples: [f8(va,0,0)=s(0),f8(vb,s(0),0)=s(s(0)),f8(va,0,s(0))=s(s(0)),"
+        "f8(vb,s(0),s(0))=s(s(s(0))),f8(va,0,s(s(0)))=s(s(s(0))),f8(va,0,s(s(0)))=s(s(s(0))),"
+        "f8(vb,s(0),s(s(0)))=s(s(s(s(0)))),f8(vc,s(s(0)),s(0))=s(s(s(s(0))))]")

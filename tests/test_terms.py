@@ -146,6 +146,28 @@ def test_fold_is_not_bounded_by_the_recursion_limit():
     assert fold(t, lambda v: v, lambda u, values: App(u.head, tuple(values))) == t
 
 
+def test_repr_reads_like_the_constructor_calls():
+    t = App("p", (App("s", (App("0"),)), Var("x"), App("nil")))
+    assert repr(t) == "App('p', (App('s', (App('0'),)), Var('x'), App('nil')))"
+    assert eval(repr(t)) == t
+    assert str(App("0")) == "App('0')"
+
+
+def test_repr_is_not_bounded_by_the_recursion_limit():
+    depth = 10 * getrecursionlimit()
+    t = App("0")
+    for _ in range(depth):
+        t = App("s", (t,))
+    expected = "App('s', (" * depth + "App('0')" + ",))" * depth
+    # a plain boolean, asserted outside the handler: pytest's report of a deep
+    # RecursionError, or of two texts this long that differ, takes minutes
+    try:
+        same = repr(t) == expected and str(t) == expected
+    except RecursionError:
+        same = False
+    assert same
+
+
 def test_sort_env_rejects_duplicate_constructor():
     with pytest.raises(InvalidSortEnv):
         SortEnv({
