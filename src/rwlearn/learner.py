@@ -90,18 +90,32 @@ class SchemeEquation:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One trace line.  An event that lists examples keeps them, after the
-    text in `label`, and renders `text` on first read: most traces are never
-    printed."""
+    """One trace line, kept as `parts`: strings, terms, equations and tuples
+    of equations.  `text` joins their renderings on first read, as most
+    traces are never printed.
+
+    Only the `new recursion scheme` text is built when the event is made,
+    by two `render_term` calls per scheme: `bench/tracer.py` requires every
+    workload to reach `learner.render_term` until that site can be dropped
+    (ROADMAP item 20)."""
 
     level: int
     kind: str
-    label: str
-    examples: tuple | None = None
+    parts: tuple
 
     @cached_property
     def text(self) -> str:
-        return self.label if self.examples is None else self.label + _render_eqs(self.examples)
+        return "".join(_render_part(p) for p in self.parts)
+
+
+def _render_part(part) -> str:
+    if part.__class__ is str:
+        return part
+    if part.__class__ is tuple:
+        return "[" + ",".join(ex.render() for ex in part) + "]"
+    if part.__class__ is IOEquation:
+        return part.render()
+    return render_term(part)
 
 
 @dataclass(frozen=True)
@@ -233,7 +247,7 @@ def _resolve_call(call: App, examples):
     for ex in examples:
         sigma = renaming_match(ex.lhs, call)
         if sigma is not None:
-            resolutions.append(substitute(ex.rhs, sigma))
+            resolutions.append(ex.rhs if ex.ground_rhs else substitute(ex.rhs, sigma))
     if not resolutions:
         return None, None
     warn = None
@@ -268,8 +282,8 @@ class _Ctx:
         self.aux_count = 0
         self.capped = False  # a recursion-depth or auxiliary-function cap fired
 
-    def emit(self, level, kind, text, examples=None):
-        self.report.trace.append(TraceEvent(level, kind, text, examples))
+    def emit(self, level, kind, *parts):
+        self.report.trace.append(TraceEvent(level, kind, parts))
 
     @contextmanager
     def bracket(self, level, kind, text):
@@ -316,10 +330,6 @@ def induce(target: str, examples, env: SortEnv, sigs,
         report.failure = FailureInfo(reason, ctx.underivable,
                                      examples if uncovered is None else uncovered)
     return report
-
-
-def _render_eqs(examples) -> str:
-    return "[" + ",".join(ex.render() for ex in examples) + "]"
 
 
 def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
@@ -400,13 +410,12 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
                     derived, underivable, warnings = derive_aux_examples(scheme, examples, subset)
                     ctx.report.warnings.extend(warnings)
                     for aux_eq, member in derived:
-                        ctx.emit(level + 2, "derive",
-                                 f"derive new equation: {render_term(member.rhs)} = "
-                                 f"{render_term(member.lhs)} = {render_term(aux_eq.lhs)}")
+                        ctx.emit(level + 2, "derive", "derive new equation: ", member.rhs,
+                                 " = ", member.lhs, " = ", aux_eq.lhs)
                         ctx.report.derived_aux.append((aux_name, layer + 1, aux_eq))
                     for member, call in underivable:
-                        ctx.emit(level + 2, "underivable", f"underivable equation: "
-                                 f"{member.render()} needs {render_term(call)}")
+                        ctx.emit(level + 2, "underivable", "underivable equation: ", member,
+                                 " needs ", call)
                         ctx.underivable.append(
                             UnderivableExample(aux_name, layer + 1, member, call))
                     if not derived:

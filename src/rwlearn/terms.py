@@ -412,7 +412,25 @@ class IOEquation:
     @cached_property
     def arg_heads(self) -> frozenset:
         """The symbols heading some subterm of the lhs arguments."""
-        return frozenset(u.head for a in self.lhs_args for u in subterms(a) if isinstance(u, App))
+        heads = set()
+        stack = list(self.lhs_args)
+        while stack:
+            u = stack.pop()
+            if u.__class__ is App:
+                heads.add(u.head)
+                stack += u.args
+        return frozenset(heads)
+
+    @cached_property
+    def ground_rhs(self) -> bool:
+        """Whether the rhs has no variable, so that any renaming leaves it as it is."""
+        stack = [self.rhs]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is Var:
+                return False
+            stack += u.args
+        return True
 
     def render(self) -> str:
         return f"{render_term(self.lhs)}={render_term(self.rhs)}"
@@ -421,14 +439,18 @@ class IOEquation:
 def infer_variable_sorts(examples, env: SortEnv, sig: Signature) -> dict:
     """Map each example variable to the sort demanded by every position it occupies.
 
-    Raises SortConflict when two occurrences demand different sorts,
-    UnknownSymbol / ArityMismatch for malformed terms.  The result is
-    independent of the order of the example list.
+    Variables are quantified per equation, so each equation's variables are
+    inferred on their own.  A name with different sorts in different
+    equations maps to all of them, sorted and joined by `|` (`list|nat`); a
+    sort name cannot hold `|`.  Names keep the order of their first
+    occurrence.  Raises SortConflict when two occurrences in one equation
+    demand different sorts, UnknownSymbol / ArityMismatch for malformed
+    terms.  The result is independent of the order of the example list.
     """
-    var_sorts: dict[str, str] = {}
+    merged: dict[str, str] = {}
     homes = env._ctor_home
 
-    def demand(t: Term, sort: str):
+    def demand(t: Term, sort: str, var_sorts: dict):
         """Record the sorts demanded in t, visiting its subterms in pre-order."""
         stack = [(t, sort)]
         while stack:
@@ -451,6 +473,7 @@ def infer_variable_sorts(examples, env: SortEnv, sig: Signature) -> dict:
             stack += zip(reversed(t.args), reversed(alt.arg_sorts))
 
     for i, ex in enumerate(examples):
+        var_sorts: dict[str, str] = {}
         try:
             if ex.fn != sig.name:
                 raise UnknownSymbol(f"example for {ex.fn}, expected {sig.name}")
@@ -458,9 +481,13 @@ def infer_variable_sorts(examples, env: SortEnv, sig: Signature) -> dict:
                 raise ArityMismatch(
                     f"{sig.name} expects {sig.arity} arguments, got {len(ex.lhs_args)}")
             for a, s in zip(ex.lhs_args, sig.domain):
-                demand(a, s)
-            demand(ex.rhs, sig.range)
+                demand(a, s, var_sorts)
+            demand(ex.rhs, sig.range, var_sorts)
         except TermError as e:
             e.example = i
             raise
-    return var_sorts
+        for v, sort in var_sorts.items():
+            sorts = merged.setdefault(v, sort).split("|")
+            if sort not in sorts:
+                merged[v] = "|".join(sorted([*sorts, sort]))
+    return merged

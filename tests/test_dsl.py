@@ -1,10 +1,12 @@
 """Unit tests for the problem-description language parser and printer."""
 
+import io
 from sys import getrecursionlimit
 
 import pytest
 
 from rwlearn import ParseError, dsl, parse_problem
+from rwlearn.cli import run_problem
 from rwlearn.dsl import parse_term, render_problem
 from rwlearn.terms import App, Var, infer_variable_sorts
 
@@ -107,13 +109,22 @@ learn f ;
      "6:1: examples input check failed: s expects 1 arguments, got 2"),
     (GOOD.replace("ex dup(0) = 0 ;", "ex dup(0, 0) = 0 ;"),
      "5:1: examples input check failed: dup expects 1 arguments, got 2"),
-    # sort inference fails at the first example that conflicts with those before it
-    (LIST_PROBLEM, "6:1: examples input check failed: variable va used both as list and as nat"),
 ])
 def test_example_errors_give_the_example_position(text, error):
     with pytest.raises(ParseError) as info:
         parse_problem(text)
     assert str(info.value) == error
+
+
+def test_variable_sorts_are_inferred_per_example():
+    # each example quantifies its own variables: va is a list in one and a
+    # natural in the other, and the name keeps both sorts
+    problem = parse_problem(LIST_PROBLEM)
+    assert problem.var_sorts == {"va": "list|nat"}
+    assert problem.examples[1].lhs_args == (Var("va"), App("0"))
+    out = io.StringIO()
+    run_problem(problem, trace=False, out=out, err=io.StringIO())
+    assert "Variable sorts:\n[va:list|nat]\n" in out.getvalue()
 
 
 NAT = "sort nat = 0 | s(nat) ;\n"

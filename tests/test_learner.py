@@ -18,8 +18,18 @@ from rwlearn.learner import (
     split_by_constructor,
 )
 from rwlearn.rewrite import covers, covers_all
-from rwlearn.terms import App, Signature, Var, subterms
+from rwlearn.terms import (
+    App,
+    Signature,
+    Var,
+    match_pattern,
+    render_term,
+    renaming_match,
+    substitute,
+    subterms,
+)
 
+from golden.regen import HERE as GOLDEN
 from helpers import (
     eq,
     list_env,
@@ -137,6 +147,31 @@ def test_resolve_call_warns_on_ambiguity():
     value, warning = _resolve_call(App("f", (Var("a"), Var("b"))), examples)
     assert value == Var("a")  # first resolution wins
     assert warning is not None and "ambiguous" in warning
+
+
+@pytest.mark.parametrize("name, renamed", [("add.tl", False), ("size.tl", False),
+                                           ("rev.tl", True)])
+def test_a_ground_resolving_rhs_is_shared_and_another_is_renamed(name, renamed):
+    problem = load_problem(name)
+    sig = problem.target_signature
+    alt = problem.sort_env.alternatives(sig.domain[0])[1]  # s, nd, cons
+    scheme = build_scheme(sig, 0, alt, FreshNames())
+    calls = [a for a in scheme.rhs.args if isinstance(a, App)]  # the recursive target calls
+    derived, _, _ = derive_aux_examples(
+        scheme, problem.examples, split_by_constructor(problem.examples, 0, alt))
+    shared, copied = 0, 0
+    for aux_eq, member in derived:
+        binding = match_pattern(scheme.lhs, member.lhs)
+        for pattern, value in zip(calls, aux_eq.lhs_args[-len(calls):]):
+            call = substitute(pattern, binding)
+            ex = next(ex for ex in problem.examples if renaming_match(ex.lhs, call) is not None)
+            if ex.ground_rhs:
+                shared += value is ex.rhs
+            else:
+                copied += (value is not ex.rhs
+                           and value == substitute(ex.rhs, renaming_match(ex.lhs, call)))
+    assert shared > 0 and shared + copied == len(derived) * len(calls)
+    assert (copied > 0) == renamed
 
 
 def test_canonical_example_set_identifies_renamed_sets():
@@ -289,6 +324,25 @@ def test_trace_vocabulary_and_nesting():
     # the nested auxiliary induction is two levels deeper than the target's
     nested = [e for e in report.trace if e.kind == "induce" and e.text != "induce(add)"]
     assert nested and all(e.level == 2 for e in nested)
+
+
+def test_unread_derive_and_underivable_events_render_nothing(monkeypatch):
+    rendered = []
+
+    def counted(t):
+        rendered.append(t)
+        return render_term(t)
+
+    monkeypatch.setattr(learner, "render_term", counted)
+    _, report = run_file("size.tl", depth=2)
+    lazy = [e for e in report.trace if e.kind in ("derive", "underivable")]
+    assert {e.kind for e in lazy} == {"derive", "underivable"}
+    # only the new recursion scheme texts, two terms each, are built eagerly
+    assert len(rendered) == 2 * sum(e.kind == "new-scheme" for e in report.trace)
+    stderr = (GOLDEN / "size_depth_2.txt").read_text().split("== stderr\n")[1]
+    eager = [line.lstrip(". ") for line in stderr.splitlines()
+             if line.lstrip(". ").startswith(("derive new equation:", "underivable equation:"))]
+    assert [e.text for e in lazy] == eager
 
 
 def test_trace_reports_empty_subsets_and_uncovered():

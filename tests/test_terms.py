@@ -168,6 +168,37 @@ def test_repr_is_not_bounded_by_the_recursion_limit():
     assert same
 
 
+def lhs_heads_by_subterms(eq: IOEquation) -> frozenset:
+    return frozenset(u.head for a in eq.lhs_args for u in subterms(a) if isinstance(u, App))
+
+
+@given(st.integers(0, 10**9))
+def test_cached_example_facts_agree_with_subterm_walks(seed):
+    rng = random.Random(seed)
+    env = list_env()
+    pool = {"nat": ["x", "y"], "list": ["z"]}
+    args = (random_term(env, "list", 4, rng, pool), random_term(env, "nat", 3, rng, pool))
+    eq = IOEquation("f", args, random_term(env, "list", 3, rng, pool))
+    assert eq.arg_heads == lhs_heads_by_subterms(eq)
+    assert eq.ground_rhs == is_ground(eq.rhs)
+
+
+def test_cached_example_facts_are_not_bounded_by_the_recursion_limit():
+    t, ground = Var("z"), App("nil")
+    for i in range(10 * getrecursionlimit()):
+        t = App("cons", (nat(i % 3) if i % 2 else Var("x"), t))
+        ground = App("cons", (nat(i % 3), ground))
+    eq = IOEquation("f", (t, App("0")), ground)
+    # a plain boolean, asserted outside the handler: pytest's report of a deep
+    # RecursionError takes minutes
+    try:
+        same = (eq.arg_heads == lhs_heads_by_subterms(eq) == frozenset({"cons", "s", "0"})
+                and eq.ground_rhs)
+    except RecursionError:
+        same = False
+    assert same
+
+
 def test_sort_env_rejects_duplicate_constructor():
     with pytest.raises(InvalidSortEnv):
         SortEnv({
