@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .antiunify import INF, generalize_examples
 from .rewrite import RewriteSystem, Rule, covers_all
@@ -26,7 +25,9 @@ from .terms import (
     SortEnv,
     Term,
     Var,
+    cached_property,
     classify_args,
+    intern,
     match_pattern,
     render_term,
     renaming_key,
@@ -308,14 +309,14 @@ def induce(target: str, examples, env: SortEnv, sigs,
     sig_map = {s.name: s for s in sigs}
     if target not in sig_map:
         raise ValueError(f"no signature for {target}")
+    # equal subterms of the examples become one object, so a coverage table
+    # hit and the covered check stop at `is` one level down; the pool's
+    # string keys are the example variables' names
+    pool = {}
+    examples = [IOEquation(ex.fn, tuple([intern(a, pool) for a in ex.lhs_args]),
+                           intern(ex.rhs, pool)) for ex in examples]
     reserved = set(sig_map) | env.symbols()
-    stack = [t for ex in examples for t in (*ex.lhs_args, ex.rhs)]
-    while stack:  # every example variable, by one walk without recursion
-        t = stack.pop()
-        if t.__class__ is Var:
-            reserved.add(t.name)
-        else:
-            stack += t.args
+    reserved.update(key for key in pool if key.__class__ is str)
     report = InduceReport(target)
     ctx = _Ctx(env, cfg, FreshNames(reserved), report)
     rules, aux_sigs, uncovered, _ = _induce(ctx, target, examples, sig_map, 0, frozenset())

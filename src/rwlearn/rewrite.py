@@ -8,11 +8,10 @@ matching rule, so it is a deterministic function of (system, term, limit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import is_not
 
-from .terms import (App, IOEquation, Term, Var, fold, match_pattern, render_term, same_term,
-                    substitute, subterms)
+from .terms import (App, IOEquation, Term, Var, cached_property, fold, match_pattern,
+                    render_term, same_term, substitute, subterms)
 
 
 class EvalError(Exception):

@@ -9,7 +9,27 @@ pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from operator import is_
+
+
+class cached_property:
+    """A method run on an instance's first read, its value stored in the
+    instance's `__dict__`, which later reads find before the class; frozen
+    dataclasses too.  3.12's `functools.cached_property`: 3.10 and 3.11 take
+    a lock on each first read, and rwlearn is single-threaded."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class TermError(Exception):
@@ -57,7 +77,8 @@ class App:
 
     Treated as immutable: the hash is computed once, on first use, and
     cached on the node.  Neither hashing nor `==` recurses, so terms of any
-    depth can be dict keys.
+    depth can be dict keys.  The hash is `hash((head, args))`; `intern` sets
+    it so on the nodes it adds, and the two must agree.
     """
 
     __slots__ = ("head", "args", "_hash")
@@ -114,6 +135,7 @@ def _hash_app(t: App) -> int:
 
 
 Term = Var | App
+
 
 # A substitution is a finite map from variable name to Term.  Variables
 # outside the map are fixed points.
@@ -213,6 +235,47 @@ def same_term(a: Term, b: Term) -> bool:
         else:
             stack.extend(zip(a.args, b.args))
     return True
+
+
+def intern(t: Term, pool: dict) -> Term:
+    """The term of pool equal to t, after adding the nodes of t that pool lacks.
+
+    pool maps a variable's name to its Var, and `(head, interned args)` to
+    an App, so equal terms interned into one pool are one object.  A node
+    of t is added itself when its arguments are the pool's, else rebuilt,
+    and gets `hash` of its key.  One bottom-up loop on an explicit stack, in
+    the manner of `substitute`.
+    """
+    if t.__class__ is Var:
+        return pool.setdefault(t.name, t)
+    get = pool.get
+    stack = []
+    u, args, out = t, iter(t.args), []
+    while True:
+        for a in args:
+            if a.__class__ is Var:
+                out.append(pool.setdefault(a.name, a))
+            elif a.args:
+                stack.append((u, args, out))
+                u, args, out = a, iter(a.args), []
+                break
+            else:
+                key = (a.head, ())
+                node = get(key)
+                if node is None:
+                    node = pool[key] = a
+                    a._hash = hash(key)
+                out.append(node)
+        else:
+            key = (u.head, tuple(out))
+            node = get(key)
+            if node is None:
+                node = pool[key] = u if all(map(is_, out, u.args)) else App(u.head, key[1])
+                node._hash = hash(key)
+            if not stack:
+                return node
+            u, args, out = stack.pop()
+            out.append(node)
 
 
 def match_pattern(pattern: Term, subject: Term) -> Substitution | None:

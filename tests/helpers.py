@@ -21,6 +21,7 @@ from rwlearn.terms import (
     Signature,
     SortEnv,
     Var,
+    fold,
     match_pattern,
     renaming_match,
     same_term,
@@ -72,6 +73,17 @@ def lst(*elems):
 
 def eq(fn, args, rhs) -> IOEquation:
     return IOEquation(fn, tuple(args), rhs)
+
+
+def built_apart(t):
+    """A copy of t that shares no node with any other term, variables included."""
+    return fold(t, lambda v: Var(v.name), lambda u, values: App(u.head, tuple(values)))
+
+
+def equal_subterms_are_one_object(terms) -> bool:
+    """Whether any two subterms of terms that are == are also `is`."""
+    first = {}
+    return all(first.setdefault(u, u) is u for t in terms for u in subterms(t))
 
 
 def size_shape_examples(rng, count: int, max_nodes: int = 7) -> list:

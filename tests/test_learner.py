@@ -22,6 +22,7 @@ from rwlearn.terms import (
     App,
     Signature,
     Var,
+    intern,
     match_pattern,
     render_term,
     renaming_match,
@@ -31,7 +32,9 @@ from rwlearn.terms import (
 
 from golden.regen import HERE as GOLDEN
 from helpers import (
+    built_apart,
     eq,
+    equal_subterms_are_one_object,
     list_env,
     load_problem,
     lst,
@@ -528,3 +531,56 @@ def test_a_candidate_without_rules_is_not_evaluated():
         "uncovered examples: [f8(va,0,0)=s(0),f8(vb,s(0),0)=s(s(0)),f8(va,0,s(0))=s(s(0)),"
         "f8(vb,s(0),s(0))=s(s(s(0))),f8(va,0,s(s(0)))=s(s(s(0))),f8(va,0,s(s(0)))=s(s(s(0))),"
         "f8(vb,s(0),s(s(0)))=s(s(s(s(0)))),f8(vc,s(s(0)),s(0))=s(s(s(s(0))))]")
+
+
+def outcome_text(report) -> tuple:
+    """Everything a printer shows of an induce report, as text."""
+    failure = report.failure
+    return ([(e.level, e.kind, e.text) for e in report.trace],
+            report.system and [r.render() for r in report.system.rules],
+            report.warnings,
+            failure and (failure.reason, [ex.render() for ex in failure.uncovered]))
+
+
+def sharing_variants(examples) -> list:
+    """examples as given, as copies that share no node, and with every equal
+    subterm one object."""
+    pool = {}
+    return [examples,
+            [eq(ex.fn, map(built_apart, ex.lhs_args), built_apart(ex.rhs)) for ex in examples],
+            [eq(ex.fn, (intern(a, pool) for a in ex.lhs_args), intern(ex.rhs, pool))
+             for ex in examples]]
+
+
+SHARING_PROBLEMS = [(name, cfg, None) for name, cfg in SEED_PROBLEMS] + [
+    ("size", {}, seed) for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("name, cfg, seed", SHARING_PROBLEMS)
+def test_induce_does_not_depend_on_how_its_input_shares_nodes(name, cfg, seed):
+    if seed is None:
+        problem = load_problem(name, **cfg)
+        target, examples, env, sigs, config = (problem.target, problem.examples,
+                                               problem.sort_env, problem.signatures,
+                                               problem.config)
+    else:  # a learn_scale-like size set
+        target, env, sigs = "size", tree_env(), [Signature("size", ("tree",), "nat")]
+        examples, config = size_shape_examples(random.Random(seed), 75), None
+    outcomes = []
+    for given in sharing_variants(examples):
+        report = induce(target, given, env, sigs, config)
+        outcomes.append(outcome_text(report))
+        if report.failure:  # the uncovered examples are given ones, in their order
+            left = iter(given)
+            assert all(any(ex == g for g in left) for ex in report.failure.uncovered)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_equal_arguments_of_derived_examples_are_one_object(seed):
+    examples = size_shape_examples(random.Random(seed), 75)
+    report = induce("size", examples, tree_env(), [Signature("size", ("tree",), "nat")])
+    assert report.success
+    args = [a for _aux, _layer, ex in report.derived_aux for a in ex.lhs_args]
+    assert len(set(args)) < len(args)  # some are equal
+    assert equal_subterms_are_one_object(args)

@@ -17,9 +17,11 @@ from rwlearn.terms import (
     SortEnv,
     UnknownSymbol,
     Var,
+    cached_property,
     classify_args,
     fold,
     infer_variable_sorts,
+    intern,
     match_pattern,
     render_term,
     renaming_match,
@@ -29,7 +31,9 @@ from rwlearn.terms import (
 )
 
 from helpers import (
+    built_apart,
     constructor_home,
+    equal_subterms_are_one_object,
     is_ground,
     is_renaming,
     list_env,
@@ -284,6 +288,60 @@ def test_renaming_match_inverts(seed):
     assert back is not None
     for name, var in sigma.items():
         assert back[var.name] == Var(name)
+
+
+def test_cached_property_runs_once_per_instance_of_a_frozen_dataclass(monkeypatch):
+    descriptor = IOEquation.__dict__["arg_heads"]
+    assert IOEquation.arg_heads is descriptor and isinstance(descriptor, cached_property)
+    inner = descriptor.func
+    calls = []
+
+    def counted(eq):
+        calls.append(eq)
+        return inner(eq)
+
+    monkeypatch.setattr(descriptor, "func", counted)
+    a = IOEquation("f", (nat(1),), App("0"))
+    b = IOEquation("f", (App("0"),), App("0"))
+    assert [a.arg_heads, b.arg_heads, a.arg_heads, b.arg_heads] == \
+           [{"s", "0"}, {"0"}, {"s", "0"}, {"0"}]
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b
+    assert a.lhs is a.lhs == App("f", (nat(1),))
+    with pytest.raises(AttributeError):
+        a.fn = "g"  # still frozen
+
+
+@given(st.integers(0, 10**9))
+def test_intern_gives_one_object_per_term_of_a_pool(seed):
+    rng = random.Random(seed)
+    env = list_env()
+    names = {"nat": ["x", "y"], "list": ["z"]}
+    t1, t2 = (random_term(env, "list", rng.randint(1, 5), rng, names) for _ in range(2))
+    pool = {}
+    i1, i2 = intern(t1, pool), intern(built_apart(t2), pool)
+    assert i1 == t1 and i2 == t2
+    assert intern(i1, pool) is i1 and intern(built_apart(i2), pool) is i2
+    assert equal_subterms_are_one_object([i1, i2, intern(built_apart(t1), pool)])
+    assert {key for key in pool if key.__class__ is str} == {*term_vars(t1), *term_vars(t2)}
+    for u in subterms(i1):
+        if u.__class__ is App:
+            assert u._hash is not None and u._hash == hash(built_apart(u))
+
+
+def test_intern_is_not_bounded_by_the_recursion_limit():
+    t = Var("x")
+    for i in range(10 * getrecursionlimit()):
+        t = App("p", (nat(i % 3), t)) if i % 2 else App("s", (t,))
+    pool = {}
+    # a plain boolean, asserted outside the handler: pytest's report of a deep
+    # RecursionError takes minutes
+    try:
+        interned = intern(t, pool)
+        same = (interned == t and intern(built_apart(t), pool) is interned
+                and len(pool) == 1 + 3 + 10 * getrecursionlimit())
+    except RecursionError:
+        same = False
+    assert same
 
 
 def test_infer_variable_sorts_is_order_independent():
