@@ -2,7 +2,7 @@
 
 Report blocks go to stdout, the induction trace to stderr, optional
 machine-readable output to a JSON file.  Exit status: 0 success, 1 synthesis
-failure, 2 input error.
+failure, 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -285,7 +285,14 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as e:  # a defect of rwlearn, not of the input
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return 3
 
+
+def _run(args) -> int:
     try:
         if args.file == "-":
             text = sys.stdin.buffer.read().decode("utf-8")

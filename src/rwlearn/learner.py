@@ -25,6 +25,7 @@ from .terms import (
     SortEnv,
     Term,
     Var,
+    blind_form,
     cached_property,
     classify_args,
     intern,
@@ -206,14 +207,16 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
 
     Each recursive target call is resolved against the lhs of some given
     example via a renaming substitution; its rhs, renamed accordingly, stands
-    in for the call.  The candidates are looked up by renaming key, in example
-    order.  Members with an unresolvable call are returned as underivable.
-    Returns (aux examples, underivable members, warnings), where aux examples
-    carry the originating member and the built call.
+    in for the call.  The candidates are the examples whose lhs arguments
+    have the `blind_form`s of the call's, in example order, and
+    `renaming_match` tries each.  Members with an unresolvable call are
+    returned as underivable.  Returns (aux examples, underivable members,
+    warnings), where aux examples carry the originating member and the built
+    call.
     """
-    by_key: dict[tuple, list[IOEquation]] = {}
+    by_form: dict[tuple, list[IOEquation]] = {}
     for ex in all_examples:
-        by_key.setdefault(renaming_key(ex.lhs), []).append(ex)
+        by_form.setdefault(tuple(map(blind_form, ex.lhs_args)), []).append(ex)
     derived = []
     underivable = []
     warnings = []
@@ -226,7 +229,8 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
         for arg in scheme.rhs.args:
             if isinstance(arg, App) and arg.head == scheme.lhs.head:
                 call = substitute(arg, binding)
-                value, warn = _resolve_call(call, by_key.get(renaming_key(call), ()))
+                value, warn = _resolve_call(
+                    call, by_form.get(tuple(map(blind_form, call.args)), ()))
                 if warn:
                     warnings.append(warn)
                 if value is None:
@@ -258,14 +262,34 @@ def _resolve_call(call: App, examples):
     return resolutions[0], warn
 
 
-def _canonical_example_set(examples) -> frozenset:
+class _ExampleSet:
     """Example multiset up to variable renaming and head-symbol renaming.
 
     Example variables are quantified per equation, so each equation is keyed
-    by the renaming key of its sides with the function symbol erased.
+    by its sides with the function symbol erased.  Hashed by the multiset of
+    the equations' blind forms; only when those agree does `==` compare the
+    multisets of their renaming keys, each computed once.
     """
-    return frozenset(Counter(renaming_key(App("", (*ex.lhs_args, ex.rhs)))
-                             for ex in examples).items())
+
+    def __init__(self, examples):
+        self.examples = examples
+        self.blind = frozenset(Counter((*map(blind_form, ex.lhs_args), blind_form(ex.rhs))
+                                       for ex in examples).items())
+
+    @cached_property
+    def renamed(self) -> Counter:
+        return Counter(renaming_key(App("", (*ex.lhs_args, ex.rhs))) for ex in self.examples)
+
+    def __hash__(self):
+        return hash(self.blind)
+
+    def __eq__(self, other):
+        return self.blind == other.blind and self.renamed == other.renamed
+
+
+def _canonical_example_set(examples) -> _ExampleSet:
+    """The repetition key of an example list, as `detect_repetition` compares them."""
+    return _ExampleSet(examples)
 
 
 def detect_repetition(history, key) -> bool:

@@ -15,6 +15,7 @@ from rwlearn.codegen import compile_system
 from rwlearn.learner import _resolve_call
 from rwlearn.rewrite import EvalError, RewriteSystem, Rule, StepLimitExceeded, StuckTerm
 from rwlearn.terms import (
+    BLIND,
     App,
     ConstructorAlt,
     IOEquation,
@@ -78,6 +79,24 @@ def eq(fn, args, rhs) -> IOEquation:
 def built_apart(t):
     """A copy of t that shares no node with any other term, variables included."""
     return fold(t, lambda v: Var(v.name), lambda u, values: App(u.head, tuple(values)))
+
+
+def blinded(t):
+    """Oracle for `terms.blind_form`: t with every variable mapped to the one marker."""
+    return substitute(t, dict.fromkeys(term_vars(t), BLIND))
+
+
+def renames_onto(a, b) -> bool:
+    """Oracle for the repetition check: whether some order of the example list
+    b renames onto the list a equation by equation, each on its own, with the
+    function symbols ignored.  Tries every order."""
+    def sides(ex):
+        return App("", (*ex.lhs_args, ex.rhs))
+
+    return len(a) == len(b) and any(
+        all(renaming_match(sides(p), sides(q)) is not None
+            and renaming_match(sides(q), sides(p)) is not None for p, q in zip(a, order))
+        for order in itertools.permutations(b))
 
 
 def equal_subterms_are_one_object(terms) -> bool:

@@ -19,16 +19,21 @@ from helpers import PROBLEMS, canonical_rules, lst, nat
 def run_main(*argv):
     """(exit code, stdout, stderr) of the CLI.
 
-    An exception that escapes `main` fails the test with the last frames of
-    its traceback, outside the handler: pytest takes minutes to print a deep
-    RecursionError whole, also as the context of the failure.
+    An internal error (exit 3) fails the test with its message, and so does
+    an exception that escapes `main`, with the last frames of its traceback,
+    outside the handler: pytest takes minutes to print a deep RecursionError
+    whole, also as the context of the failure.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(list(argv)), out.getvalue(), err.getvalue()
+            code = main(list(argv))
         except Exception:
             failure = traceback.format_exc(limit=-8)
+        else:
+            if code != 3:
+                return code, out.getvalue(), err.getvalue()
+            failure = err.getvalue()
     pytest.fail(failure, pytrace=False)
 
 
@@ -77,6 +82,20 @@ def test_cap_failure_exits_1_naming_the_cap(cap):
     code, out, _ = run_main(str(PROBLEMS / "size.tl"), "--no-trace", cap, "1")
     assert code == 1
     assert "SYNTHESIS FAILED: cap-exceeded\n" in out
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("deep\nterm")])
+def test_an_uncaught_exception_exits_3_with_one_line(monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("rwlearn.cli.induce", broken)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(PROBLEMS / "add.tl"), "--no-trace"])
+    assert code == 3
+    assert err.getvalue() == f"internal error: {error!r}\n"
+    assert "Traceback" not in out.getvalue() and "SYNTHESIS" not in out.getvalue()
 
 
 def test_missing_file_exits_2():

@@ -17,9 +17,9 @@ call itself, and its blocks nest no deeper for larger systems or terms.
 `terms.match_pattern` must return the binding of `closure_match_pattern`, in
 the same key order, and `terms.substitute` the instance that
 `closure_substitute` builds.  `learner.derive_aux_examples`,
-which looks each recursive call up by renaming key, must return what
-`scan_derive_aux_examples` returns by trying every example, in the same order;
-`terms.renaming_key` must agree with `terms.renaming_match`.
+which looks each recursive call up by the blind forms of its arguments, must
+return what `scan_derive_aux_examples` returns by trying every example, in
+the same order; `terms.renaming_key` must agree with `terms.renaming_match`.
 `simplify.prune_irrelevant_args`, `simplify.inline_single_rule_aux` and
 `rewrite.redex_skeleton`, which walk terms by `terms.fold`, must give what the
 recursive walkers `recursive_prune_irrelevant_args`,
@@ -31,6 +31,7 @@ report writer `cli._dumps` the text of `json.dumps(doc, indent=2)`.
 """
 
 import ast
+import itertools
 import json
 import math
 import random
@@ -43,6 +44,7 @@ from rwlearn import ParseError
 from rwlearn.cli import _dumps, term_from_json, term_to_json
 from rwlearn.codegen import evaluator_source
 from rwlearn.dsl import _tokenize
+from rwlearn import learner
 from rwlearn.learner import FreshNames, build_scheme, derive_aux_examples, split_by_constructor
 from rwlearn.rewrite import (
     NORMAL,
@@ -59,6 +61,7 @@ from rwlearn.terms import (
     App,
     Signature,
     Var,
+    blind_form,
     classify_args,
     match_pattern,
     renaming_key,
@@ -599,7 +602,11 @@ def random_example_set(rng):
 
     Variable names are shared between equations and often repeat within one
     lhs.  Some equations hold the recursive call of another, and some are
-    renamed duplicates of another, with an equal or a conflicting rhs.
+    renamed duplicates of another, with an equal or a conflicting rhs.  Some
+    come in twins that repeat another's lhs with each leaf a variable: one
+    variable for all, or one for each (`f(s(x),x)` beside `f(s(u0),u1)`), so
+    that a call's bucket of equal blind forms holds an example that
+    `renaming_match` rejects.
     """
     env = rng.choice([nat_env(), list_env()])
     sig = Signature("f", (rng.choice(list(env.sorts)), "nat"), "nat")
@@ -611,6 +618,11 @@ def random_example_set(rng):
     examples = [eq("f", [random_term(env, s, rng.randint(1, 4), rng, pool) for s in sig.domain],
                    rhs())
                 for _ in range(rng.randint(1, 6))]
+    for ex in rng.sample(examples, rng.randint(0, min(2, len(examples)))):
+        one = itertools.repeat("x")
+        apart = (f"u{i}" for i in itertools.count())
+        for names in (one, apart):
+            examples.append(eq("f", [leaves_to_variables(a, names) for a in ex.lhs_args], rhs()))
     for ex in list(examples):
         i = rng.randrange(sig.arity)
         arg = ex.lhs_args[i]
@@ -630,33 +642,50 @@ def random_example_set(rng):
     return env, sig, examples
 
 
-def derivations(seed):
-    """(indexed, scanning) derive_aux_examples results for every recursive scheme of one draw."""
+def leaves_to_variables(t, names):
+    """t with each leaf, variable or constant, replaced by a variable named by
+    the next of names."""
+    if isinstance(t, Var) or not t.args:
+        return Var(next(names))
+    return App(t.head, tuple(leaves_to_variables(a, names) for a in t.args))
+
+
+def schemes(seed):
+    """(scheme, examples, subset) for every recursive scheme of one draw."""
     env, sig, examples = random_example_set(random.Random(seed))
     reserved = {v for ex in examples for v in term_vars(ex.lhs) + term_vars(ex.rhs)}
-    out = []
     for position, sort in enumerate(sig.domain):
         for alt in env.alternatives(sort):
             if classify_args(sort, alt)[0]:
                 scheme = build_scheme(sig, position, alt, FreshNames(reserved))
-                subset = split_by_constructor(examples, position, alt)
-                out.append((derive_aux_examples(scheme, examples, subset),
-                            scan_derive_aux_examples(scheme, examples, subset)))
-    return out
+                yield scheme, examples, split_by_constructor(examples, position, alt)
 
 
 @given(st.integers(0, 10**9))
 def test_indexed_call_lookup_agrees_with_the_scan(seed):
-    for indexed, scanned in derivations(seed):
-        assert indexed == scanned
+    for scheme, examples, subset in schemes(seed):
+        assert derive_aux_examples(scheme, examples, subset) == \
+            scan_derive_aux_examples(scheme, examples, subset)
 
 
-def test_example_set_draws_reach_every_outcome():
-    # the property above is vacuous unless calls resolve, fail and conflict
-    results = [indexed for seed in range(100) for indexed, _ in derivations(seed)]
+def test_example_set_draws_reach_every_outcome(monkeypatch):
+    # the property above is vacuous unless calls resolve, fail and conflict,
+    # and unless some bucket holds a candidate that renaming_match rejects
+    rejected = []
+
+    def recording(lhs, call):
+        sigma = renaming_match(lhs, call)
+        if sigma is None:
+            rejected.append((lhs, call))
+        return sigma
+
+    monkeypatch.setattr(learner, "renaming_match", recording)
+    results = [derive_aux_examples(*draw) for seed in range(100) for draw in schemes(seed)]
     assert any(derived for derived, _, _ in results)
     assert any(underivable for _, underivable, _ in results)
     assert any(warnings for _, _, warnings in results)
+    assert any(tuple(map(blind_form, lhs.args)) == tuple(map(blind_form, call.args))
+               for lhs, call in rejected)
 
 
 def assert_key_agrees_with_renaming_match(a, b):

@@ -41,6 +41,7 @@ from helpers import (
     nat,
     nat_env,
     random_term,
+    renames_onto,
     run_file,
     size_shape_examples,
     tree_env,
@@ -190,6 +191,53 @@ def test_canonical_example_set_renames_each_equation_apart():
     a = [eq("f", (Var("x"),), Var("x")), eq("f", (Var("x"),), App("s", (Var("x"),)))]
     b = [eq("g", (Var("y"),), Var("y")), eq("g", (Var("z"),), App("s", (Var("z"),)))]
     assert _canonical_example_set(a) == _canonical_example_set(b)
+
+
+def test_canonical_example_set_tells_variable_patterns_apart():
+    # each pair has equal blind forms, so one hash, but no renaming maps one set onto the other
+    x, y, z = Var("x"), Var("y"), Var("z")
+    pairs = [([eq("f", (x, x), nat(0))], [eq("f", (y, z), nat(0))]),
+             ([eq("f", (x, y), x)], [eq("f", (x, y), y)]),
+             ([eq("f", (x, y), x), eq("f", (x, x), x)], [eq("g", (y, y), y), eq("g", (x, y), y)]),
+             ([eq("f", (x, nat(1)), x)] * 2, [eq("f", (x, nat(1)), x), eq("f", (x, nat(1)), z)])]
+    for a, b in pairs:
+        key_a, key_b = _canonical_example_set(a), _canonical_example_set(b)
+        assert hash(key_a) == hash(key_b) and key_a != key_b
+        assert not detect_repetition({key_a}, key_b) and not detect_repetition({key_b}, key_a)
+    # renamed sets, in another order and under another symbol, still repeat
+    a = [eq("f", (x, y), x), eq("f", (x, x), nat(1))]
+    b = [eq("g", (z, z), nat(1)), eq("g", (z, x), z)]
+    assert detect_repetition({_canonical_example_set(a)}, _canonical_example_set(b))
+
+
+def random_equations(rng, count: int) -> list:
+    """count equations over nat with two arguments and few variables, often repeated."""
+    env, names = nat_env(), {"nat": ["x", "y"]}
+    return [eq("f", [random_term(env, "nat", rng.randint(1, 3), rng, names) for _ in range(2)],
+               random_term(env, "nat", 2, rng, names)) for _ in range(count)]
+
+
+@given(st.integers(0, 10**9))
+def test_canonical_example_set_agrees_with_the_renaming_oracle(seed):
+    rng = random.Random(seed)
+    a = random_equations(rng, rng.randint(1, 4))
+    b = []
+    for ex in rng.sample(a, len(a)):  # a reordered, each equation renamed, blinded or redrawn
+        names = sorted({v.name for t in (*ex.lhs_args, ex.rhs) for v in subterms(t)
+                        if isinstance(v, Var)})
+        pick = rng.randrange(3)
+        if pick == 0:
+            subst = dict(zip(names, map(Var, rng.sample(["x", "y", "z"], len(names)))))
+        elif pick == 1:
+            subst = {v: Var(rng.choice(["x", "y", "z"])) for v in names}
+        else:
+            subst = {}
+            ex = random_equations(rng, 1)[0]
+        b.append(eq("g", [substitute(t, subst) for t in ex.lhs_args], substitute(ex.rhs, subst)))
+    key_a, key_b = _canonical_example_set(a), _canonical_example_set(b)
+    assert (key_a == key_b) == renames_onto(a, b)
+    assert key_a != key_b or hash(key_a) == hash(key_b)
+    assert detect_repetition({key_a}, key_b) == renames_onto(a, b)
 
 
 SEED_PROBLEMS = [

@@ -17,6 +17,7 @@ from rwlearn.terms import (
     SortEnv,
     UnknownSymbol,
     Var,
+    blind_form,
     cached_property,
     classify_args,
     fold,
@@ -31,6 +32,7 @@ from rwlearn.terms import (
 )
 
 from helpers import (
+    blinded,
     built_apart,
     constructor_home,
     equal_subterms_are_one_object,
@@ -337,8 +339,48 @@ def test_intern_is_not_bounded_by_the_recursion_limit():
     # RecursionError takes minutes
     try:
         interned = intern(t, pool)
+        # x, three ground nodes, and each App above x with its blind form
         same = (interned == t and intern(built_apart(t), pool) is interned
-                and len(pool) == 1 + 3 + 10 * getrecursionlimit())
+                and len(pool) == 1 + 3 + 2 * 10 * getrecursionlimit())
+    except RecursionError:
+        same = False
+    assert same
+
+
+@given(st.integers(0, 10**9))
+def test_blind_forms_agree_with_the_oracle(seed):
+    rng = random.Random(seed)
+    env = list_env()
+    names = {"nat": ["x", "y"], "list": ["z"]}
+    t1, t2 = (random_term(env, "list", rng.randint(1, 5), rng, names) for _ in range(2))
+    pool = {}
+    interned = [intern(t1, pool), intern(built_apart(t2), pool)]
+    nodes = [u for t in interned for u in subterms(t)]
+    for u in nodes:
+        blind = blind_form(u)
+        assert blind == blinded(u)
+        if u.__class__ is App:  # the pool's own node, and the node itself when ground
+            assert pool[blind.head, blind.args] is blind
+            assert (blind is u) == is_ground(u)
+    assert equal_subterms_are_one_object([blind_form(u) for u in nodes])
+    assert {key for key in pool if key.__class__ is str} == {*term_vars(t1), *term_vars(t2)}
+    # a copy built apart, a renamed copy, and a new node over interned ones
+    renamed = substitute(t1, {"x": Var("y"), "y": Var("u"), "z": Var("w")})
+    above = App("cons", (App("0"), interned[1]))
+    for t, oracle in [(built_apart(t1), t1), (renamed, t1), (above, above)]:
+        blind = blind_form(t)
+        assert blind == blinded(oracle) and blind_form(t) is blind
+    assert blind_form(above).args[1] is blind_form(interned[1])
+
+
+def test_blind_forms_are_not_bounded_by_the_recursion_limit():
+    t = Var("x")
+    for i in range(10 * getrecursionlimit()):
+        t = App("p", (nat(i % 3), t)) if i % 2 else App("s", (t,))
+    # a plain boolean, asserted outside the handler, as in the intern test above
+    try:
+        expected = blinded(t)
+        same = blind_form(built_apart(t)) == expected and blind_form(intern(t, {})) == expected
     except RecursionError:
         same = False
     assert same
