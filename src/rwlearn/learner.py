@@ -202,17 +202,18 @@ def build_scheme(sig: Signature, position: int, alt: ConstructorAlt,
     return SchemeEquation(lhs, App(aux_name, tuple(rhs_args)), aux_sig)
 
 
-def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
+def derive_aux_examples(scheme: SchemeEquation, all_examples, subset, pool: dict):
     """Join the scheme with the matching examples to get auxiliary i/o equations.
 
     Each recursive target call is resolved against the lhs of some given
     example via a renaming substitution; its rhs, renamed accordingly, stands
     in for the call.  The candidates are the examples whose lhs arguments
     have the `blind_form`s of the call's, in example order, and
-    `renaming_match` tries each.  Members with an unresolvable call are
-    returned as underivable.  Returns (aux examples, underivable members,
-    warnings), where aux examples carry the originating member and the built
-    call.
+    `renaming_match` tries each.  The examples are nodes of pool, and so is
+    each side of an auxiliary equation: a renamed rhs is interned there.
+    Members with an unresolvable call are returned as underivable.  Returns
+    (aux examples, underivable members, warnings), where aux examples carry
+    the originating member and the built call.
     """
     by_form: dict[tuple, list[IOEquation]] = {}
     for ex in all_examples:
@@ -230,7 +231,7 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
             if isinstance(arg, App) and arg.head == scheme.lhs.head:
                 call = substitute(arg, binding)
                 value, warn = _resolve_call(
-                    call, by_form.get(tuple(map(blind_form, call.args)), ()))
+                    call, by_form.get(tuple(map(blind_form, call.args)), ()), pool)
                 if warn:
                     warnings.append(warn)
                 if value is None:
@@ -246,13 +247,14 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset):
     return derived, underivable, warnings
 
 
-def _resolve_call(call: App, examples):
-    """First example whose lhs renames onto the call; warns when ambiguous."""
+def _resolve_call(call: App, examples, pool: dict):
+    """First example whose lhs renames onto the call, rhs renamed into pool; warns if ambiguous."""
     resolutions = []
     for ex in examples:
         sigma = renaming_match(ex.lhs, call)
         if sigma is not None:
-            resolutions.append(ex.rhs if ex.ground_rhs else substitute(ex.rhs, sigma))
+            resolutions.append(ex.rhs if blind_form(ex.rhs) is ex.rhs  # ground: shared
+                               else intern(substitute(ex.rhs, sigma), pool))
     if not resolutions:
         return None, None
     warn = None
@@ -298,11 +300,12 @@ def detect_repetition(history, key) -> bool:
 
 
 class _Ctx:
-    def __init__(self, env, cfg, fresh, report):
+    def __init__(self, env, cfg, fresh, report, pool):
         self.env = env
         self.cfg = cfg
         self.fresh = fresh
         self.report = report
+        self.pool = pool  # every term `_induce` sees is a node of it
         self.underivable: list = []
         self.aux_count = 0
         self.capped = False  # a recursion-depth or auxiliary-function cap fired
@@ -334,15 +337,16 @@ def induce(target: str, examples, env: SortEnv, sigs,
     if target not in sig_map:
         raise ValueError(f"no signature for {target}")
     # equal subterms of the examples become one object, so a coverage table
-    # hit and the covered check stop at `is` one level down; the pool's
-    # string keys are the example variables' names
+    # hit and the covered check stop at `is` one level down; derivation adds
+    # its renamed right-hand sides to the same pool, whose string keys are
+    # the example variables' names
     pool = {}
     examples = [IOEquation(ex.fn, tuple([intern(a, pool) for a in ex.lhs_args]),
                            intern(ex.rhs, pool)) for ex in examples]
     reserved = set(sig_map) | env.symbols()
     reserved.update(key for key in pool if key.__class__ is str)
     report = InduceReport(target)
-    ctx = _Ctx(env, cfg, FreshNames(reserved), report)
+    ctx = _Ctx(env, cfg, FreshNames(reserved), report, pool)
     rules, aux_sigs, uncovered, _ = _induce(ctx, target, examples, sig_map, 0, frozenset())
     if rules is not None:
         # the attempt that built these rules evaluated every example against
@@ -432,7 +436,8 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
                     ctx.aux_count += 1
                     ctx.emit(level + 2, "new-scheme", f"new recursion scheme: "
                              f"{render_term(scheme.lhs)} = {render_term(scheme.rhs)}")
-                    derived, underivable, warnings = derive_aux_examples(scheme, examples, subset)
+                    derived, underivable, warnings = derive_aux_examples(
+                        scheme, examples, subset, ctx.pool)
                     ctx.report.warnings.extend(warnings)
                     for aux_eq, member in derived:
                         ctx.emit(level + 2, "derive", "derive new equation: ", member.rhs,

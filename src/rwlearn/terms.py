@@ -75,12 +75,12 @@ class Var:
 class App:
     """A symbol applied to a tuple of argument terms.
 
-    Treated as immutable: the hash and the `blind_form` are computed once,
-    on first use, and cached on the node.  Neither hashing nor `==`
-    recurses, so terms of any depth can be dict keys.  The hash is
-    `hash((head, args))`; `intern` sets it so on the nodes it adds, and the
-    two must agree.  `_blind` is left unset until then, as one more store
-    per node would slow every contraction.
+    Treated as immutable: the hash is computed once, on first use, and
+    cached on the node.  Neither hashing nor `==` recurses, so terms of any
+    depth can be dict keys.  The hash is `hash((head, args))`; `intern` sets
+    it so on the nodes it adds, and the two must agree.  Only `intern` sets
+    `_blind`, the `blind_form`, as a store in `__init__` would slow every
+    contraction; a node outside a pool has none.
     """
 
     __slots__ = ("head", "args", "_hash", "_blind")
@@ -248,13 +248,13 @@ def intern(t: Term, pool: dict) -> Term:
     pool maps a variable's name to its Var, and `(head, interned args)` to
     an App, so equal terms interned into one pool are one object.  A node
     of t is added itself when its arguments are the pool's, else rebuilt,
-    and gets `hash` of its key and its `blind_form`: itself when it is
-    ground, else the pool's App of its head over its arguments' blind
-    forms, looked up and added in the same way.  So the blind forms of a
-    pool's nodes are the pool's too, and equal ones are one object.  Blind
-    forms are keyed by tuples only: the pool's string keys stay the names
-    of t's variables.  One bottom-up loop on an explicit stack, in the
-    manner of `substitute`.
+    and gets `hash` of its key and the blind form that `blind_form` reads:
+    itself exactly when it is ground, else the pool's App of its head over
+    its arguments' blind forms, looked up and added in the same way.  So
+    the blind forms of a pool's nodes are the pool's too, and equal ones
+    are one object.  Blind forms are keyed by tuples only: the pool's string
+    keys stay the names of t's variables.  One bottom-up loop on an
+    explicit stack, in the manner of `substitute`.
     """
     if t.__class__ is Var:
         return pool.setdefault(t.name, t)
@@ -302,42 +302,9 @@ def intern(t: Term, pool: dict) -> Term:
 
 def blind_form(t: Term) -> Term:
     """t with each variable replaced by `BLIND`: equal for any two terms that
-    rename onto each other, so it buckets terms for `renaming_match`.
-
-    A node's blind form is cached on it, as `intern` caches it on a pool's
-    nodes; on any other node, one bottom-up loop on an explicit stack builds
-    it, stopping at nodes that have one.  A ground node is its own.
-    """
-    if t.__class__ is Var:
-        return BLIND
-    blind = getattr(t, "_blind", None)
-    if blind is not None:
-        return blind
-    stack = []
-    u, args, out = t, iter(t.args), []
-    while True:
-        for a in args:
-            if a.__class__ is Var:
-                out.append(BLIND)
-            elif getattr(a, "_blind", None) is not None:
-                out.append(a._blind)
-            elif a.args:
-                stack.append((u, args, out))
-                u, args, out = a, iter(a.args), []
-                break
-            else:
-                a._blind = a
-                out.append(a)
-        else:
-            if all(map(is_, out, u.args)):
-                blind = u._blind = u
-            else:
-                blind = u._blind = App(u.head, tuple(out))
-                blind._blind = blind
-            if not stack:
-                return blind
-            u, args, out = stack.pop()
-            out.append(blind)
+    rename onto each other, so it buckets terms for `renaming_match`.  t is
+    a variable or a node of an `intern` pool, which caches it on the node."""
+    return BLIND if t.__class__ is Var else t._blind
 
 
 def match_pattern(pattern: Term, subject: Term) -> Substitution | None:
@@ -545,17 +512,6 @@ class IOEquation:
                 heads.add(u.head)
                 stack += u.args
         return frozenset(heads)
-
-    @cached_property
-    def ground_rhs(self) -> bool:
-        """Whether the rhs has no variable, so that any renaming leaves it as it is."""
-        stack = [self.rhs]
-        while stack:
-            u = stack.pop()
-            if u.__class__ is Var:
-                return False
-            stack += u.args
-        return True
 
     def render(self) -> str:
         return f"{render_term(self.lhs)}={render_term(self.rhs)}"

@@ -27,7 +27,7 @@ def _runs():
         "run_all_problems", ROOT / "scripts" / "run_all_problems.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(name, opts) for name, opts, _ in module.RUNS]
+    return [(name, opts) for name, opts, _code, _reason in module.RUNS]
 
 
 RUNS = _runs()

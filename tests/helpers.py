@@ -23,6 +23,7 @@ from rwlearn.terms import (
     SortEnv,
     Var,
     fold,
+    intern,
     match_pattern,
     renaming_match,
     same_term,
@@ -74,6 +75,13 @@ def lst(*elems):
 
 def eq(fn, args, rhs) -> IOEquation:
     return IOEquation(fn, tuple(args), rhs)
+
+
+def interned(examples) -> tuple:
+    """(the examples interned into a fresh pool, the pool), as `induce` interns them."""
+    pool = {}
+    return [eq(ex.fn, (intern(a, pool) for a in ex.lhs_args), intern(ex.rhs, pool))
+            for ex in examples], pool
 
 
 def built_apart(t):
@@ -525,7 +533,7 @@ def untabled_covers_all(system, examples, step_limit: int = 10000):
     return not uncovered, uncovered
 
 
-def scan_derive_aux_examples(scheme, all_examples, subset):
+def scan_derive_aux_examples(scheme, all_examples, subset, pool):
     """Oracle for `learner.derive_aux_examples`: every call is tried against every example."""
     derived = []
     underivable = []
@@ -539,7 +547,7 @@ def scan_derive_aux_examples(scheme, all_examples, subset):
         for arg in scheme.rhs.args:
             if isinstance(arg, App) and arg.head == scheme.lhs.head:
                 call = substitute(arg, binding)
-                value, warn = _resolve_call(call, all_examples)
+                value, warn = _resolve_call(call, all_examples, pool)
                 if warn:
                     warnings.append(warn)
                 if value is None:

@@ -78,6 +78,7 @@ from helpers import (
     constructor_home,
     eq,
     hot_steps,
+    interned,
     line_column_tokenize,
     list_env,
     nat_env,
@@ -651,21 +652,23 @@ def leaves_to_variables(t, names):
 
 
 def schemes(seed):
-    """(scheme, examples, subset) for every recursive scheme of one draw."""
+    """(scheme, examples, subset, pool) for every recursive scheme of one draw,
+    its examples interned into pool."""
     env, sig, examples = random_example_set(random.Random(seed))
+    examples, pool = interned(examples)
     reserved = {v for ex in examples for v in term_vars(ex.lhs) + term_vars(ex.rhs)}
     for position, sort in enumerate(sig.domain):
         for alt in env.alternatives(sort):
             if classify_args(sort, alt)[0]:
                 scheme = build_scheme(sig, position, alt, FreshNames(reserved))
-                yield scheme, examples, split_by_constructor(examples, position, alt)
+                yield scheme, examples, split_by_constructor(examples, position, alt), pool
 
 
 @given(st.integers(0, 10**9))
 def test_indexed_call_lookup_agrees_with_the_scan(seed):
-    for scheme, examples, subset in schemes(seed):
-        assert derive_aux_examples(scheme, examples, subset) == \
-            scan_derive_aux_examples(scheme, examples, subset)
+    for scheme, examples, subset, pool in schemes(seed):
+        assert derive_aux_examples(scheme, examples, subset, pool) == \
+            scan_derive_aux_examples(scheme, examples, subset, pool)
 
 
 def test_example_set_draws_reach_every_outcome(monkeypatch):

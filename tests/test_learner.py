@@ -22,6 +22,7 @@ from rwlearn.terms import (
     App,
     Signature,
     Var,
+    blind_form,
     intern,
     match_pattern,
     render_term,
@@ -32,9 +33,12 @@ from rwlearn.terms import (
 
 from golden.regen import HERE as GOLDEN
 from helpers import (
+    blinded,
     built_apart,
     eq,
     equal_subterms_are_one_object,
+    interned,
+    is_ground,
     list_env,
     load_problem,
     lst,
@@ -114,8 +118,9 @@ def test_derive_aux_examples_resolves_calls_by_renaming():
     ]
     alt = env.alternatives("list")[1]
     scheme = build_scheme(sig, 0, alt, FreshNames({"a", "b"}))
+    examples, pool = interned(examples)
     subset = split_by_constructor(examples, 0, alt)
-    derived, underivable, warnings = derive_aux_examples(scheme, examples, subset)
+    derived, underivable, warnings = derive_aux_examples(scheme, examples, subset, pool)
     assert not underivable
     # lgth(cons(a, cons(b, nil))): the recursive call lgth(cons(b, nil)) is
     # resolved against lgth(cons(a, nil)) = s(0) via the renaming a -> b
@@ -135,8 +140,9 @@ def test_derive_aux_examples_reports_underivable_members():
     ]
     alt = env.alternatives("nat")[1]
     scheme = build_scheme(sig, 0, alt, FreshNames())
+    examples, pool = interned(examples)
     subset = split_by_constructor(examples, 0, alt)
-    derived, underivable, _ = derive_aux_examples(scheme, examples, subset)
+    derived, underivable, _ = derive_aux_examples(scheme, examples, subset, pool)
     assert not derived
     assert [(m, call) for m, call in underivable] == [
         (examples[1], App("sq", (nat(1),)))
@@ -144,11 +150,11 @@ def test_derive_aux_examples_reports_underivable_members():
 
 
 def test_resolve_call_warns_on_ambiguity():
-    examples = [
+    examples, pool = interned([
         eq("f", (Var("x"), Var("y")), Var("x")),
         eq("f", (Var("u"), Var("v")), Var("v")),
-    ]
-    value, warning = _resolve_call(App("f", (Var("a"), Var("b"))), examples)
+    ])
+    value, warning = _resolve_call(App("f", (Var("a"), Var("b"))), examples, pool)
     assert value == Var("a")  # first resolution wins
     assert warning is not None and "ambiguous" in warning
 
@@ -161,36 +167,42 @@ def test_a_ground_resolving_rhs_is_shared_and_another_is_renamed(name, renamed):
     alt = problem.sort_env.alternatives(sig.domain[0])[1]  # s, nd, cons
     scheme = build_scheme(sig, 0, alt, FreshNames())
     calls = [a for a in scheme.rhs.args if isinstance(a, App)]  # the recursive target calls
+    examples, pool = interned(problem.examples)
     derived, _, _ = derive_aux_examples(
-        scheme, problem.examples, split_by_constructor(problem.examples, 0, alt))
+        scheme, examples, split_by_constructor(examples, 0, alt), pool)
     shared, copied = 0, 0
     for aux_eq, member in derived:
         binding = match_pattern(scheme.lhs, member.lhs)
         for pattern, value in zip(calls, aux_eq.lhs_args[-len(calls):]):
             call = substitute(pattern, binding)
-            ex = next(ex for ex in problem.examples if renaming_match(ex.lhs, call) is not None)
-            if ex.ground_rhs:
+            ex = next(ex for ex in examples if renaming_match(ex.lhs, call) is not None)
+            if is_ground(ex.rhs):
                 shared += value is ex.rhs
-            else:
-                copied += (value is not ex.rhs
+            else:  # renamed into the pool, so the example's own rhs only when equal to it
+                copied += ((value is ex.rhs) == (value == ex.rhs) and intern(value, pool) is value
                            and value == substitute(ex.rhs, renaming_match(ex.lhs, call)))
     assert shared > 0 and shared + copied == len(derived) * len(calls)
     assert (copied > 0) == renamed
 
 
+def canonical(examples):
+    """`_canonical_example_set` of the examples interned into a fresh pool."""
+    return _canonical_example_set(interned(examples)[0])
+
+
 def test_canonical_example_set_identifies_renamed_sets():
     a = [eq("f", (Var("x"),), nat(1)), eq("f", (nat(0),), nat(0))]
     b = [eq("g", (nat(0),), nat(0)), eq("g", (Var("z"),), nat(1))]
-    assert _canonical_example_set(a) == _canonical_example_set(b)
-    assert detect_repetition({_canonical_example_set(a)}, _canonical_example_set(b))
-    assert not detect_repetition(frozenset(), _canonical_example_set(b))
+    assert canonical(a) == canonical(b)
+    assert detect_repetition({canonical(a)}, canonical(b))
+    assert not detect_repetition(frozenset(), canonical(b))
 
 
 def test_canonical_example_set_renames_each_equation_apart():
     # example variables are quantified per equation: x need not be one variable across the set
     a = [eq("f", (Var("x"),), Var("x")), eq("f", (Var("x"),), App("s", (Var("x"),)))]
     b = [eq("g", (Var("y"),), Var("y")), eq("g", (Var("z"),), App("s", (Var("z"),)))]
-    assert _canonical_example_set(a) == _canonical_example_set(b)
+    assert canonical(a) == canonical(b)
 
 
 def test_canonical_example_set_tells_variable_patterns_apart():
@@ -201,13 +213,13 @@ def test_canonical_example_set_tells_variable_patterns_apart():
              ([eq("f", (x, y), x), eq("f", (x, x), x)], [eq("g", (y, y), y), eq("g", (x, y), y)]),
              ([eq("f", (x, nat(1)), x)] * 2, [eq("f", (x, nat(1)), x), eq("f", (x, nat(1)), z)])]
     for a, b in pairs:
-        key_a, key_b = _canonical_example_set(a), _canonical_example_set(b)
+        key_a, key_b = canonical(a), canonical(b)
         assert hash(key_a) == hash(key_b) and key_a != key_b
         assert not detect_repetition({key_a}, key_b) and not detect_repetition({key_b}, key_a)
     # renamed sets, in another order and under another symbol, still repeat
     a = [eq("f", (x, y), x), eq("f", (x, x), nat(1))]
     b = [eq("g", (z, z), nat(1)), eq("g", (z, x), z)]
-    assert detect_repetition({_canonical_example_set(a)}, _canonical_example_set(b))
+    assert detect_repetition({canonical(a)}, canonical(b))
 
 
 def random_equations(rng, count: int) -> list:
@@ -234,7 +246,7 @@ def test_canonical_example_set_agrees_with_the_renaming_oracle(seed):
             subst = {}
             ex = random_equations(rng, 1)[0]
         b.append(eq("g", [substitute(t, subst) for t in ex.lhs_args], substitute(ex.rhs, subst)))
-    key_a, key_b = _canonical_example_set(a), _canonical_example_set(b)
+    key_a, key_b = canonical(a), canonical(b)
     assert (key_a == key_b) == renames_onto(a, b)
     assert key_a != key_b or hash(key_a) == hash(key_b)
     assert detect_repetition({key_a}, key_b) == renames_onto(a, b)
@@ -248,8 +260,11 @@ SEED_PROBLEMS = [
 
 
 def random_small_problem(rng):
-    """(target, examples, env, signatures) of a random small add, lgth or size set."""
-    kind = rng.choice(["add", "lgth", "size"])
+    """(target, examples, env, signatures) of a random small add, lgth, rev or size set.
+
+    Only rev's right-hand sides hold variables, so only its recursive calls
+    resolve to renamed right-hand sides."""
+    kind = rng.choice(["add", "lgth", "rev", "size"])
     if kind == "add":
         env, sig = nat_env(), Signature("add", ("nat", "nat"), "nat")
         pairs = rng.sample([(m, n) for m in range(4) for n in range(4)], rng.randint(1, 8))
@@ -259,6 +274,11 @@ def random_small_problem(rng):
         examples = [eq("lgth", (lst(*(Var(f"e{i}") if rng.random() < 0.5 else nat(i)
                                       for i in range(n))),), nat(n))
                     for n in rng.sample(range(5), rng.randint(1, 5))]
+    elif kind == "rev":
+        env, sig = list_env(), Signature("rev", ("list",), "list")
+        elems = [[Var(f"e{i}") if rng.random() < 0.8 else nat(i % 2) for i in range(n)]
+                 for n in rng.sample(range(5), rng.randint(1, 5))]
+        examples = [eq("rev", (lst(*es),), lst(*reversed(es))) for es in elems]
     else:
         env, sig = tree_env(), Signature("size", ("tree",), "nat")
         trees = [random_term(env, "tree", rng.randint(1, 4), rng, {"nat": ["a", "b"]})
@@ -593,11 +613,9 @@ def outcome_text(report) -> tuple:
 def sharing_variants(examples) -> list:
     """examples as given, as copies that share no node, and with every equal
     subterm one object."""
-    pool = {}
     return [examples,
             [eq(ex.fn, map(built_apart, ex.lhs_args), built_apart(ex.rhs)) for ex in examples],
-            [eq(ex.fn, (intern(a, pool) for a in ex.lhs_args), intern(ex.rhs, pool))
-             for ex in examples]]
+            interned(examples)[0]]
 
 
 SHARING_PROBLEMS = [(name, cfg, None) for name, cfg in SEED_PROBLEMS] + [
@@ -632,3 +650,47 @@ def test_equal_arguments_of_derived_examples_are_one_object(seed):
     args = [a for _aux, _layer, ex in report.derived_aux for a in ex.lhs_args]
     assert len(set(args)) < len(args)  # some are equal
     assert equal_subterms_are_one_object(args)
+
+
+def derived_sides(args) -> tuple:
+    """(each side of each derived auxiliary equation of `induce(*args)`, each
+    renamed resolution of a recursive call)."""
+    renamed = []
+    inner = learner._resolve_call
+
+    def recording(call, examples, pool):
+        value, warn = inner(call, examples, pool)
+        if value is not None and not is_ground(value):
+            renamed.append(value)
+        return value, warn
+
+    with mock.patch.object(learner, "_resolve_call", recording):
+        report = induce(*args)
+    return [t for _aux, _layer, ex in report.derived_aux for t in (*ex.lhs_args, ex.rhs)], renamed
+
+
+def assert_nodes_of_one_pool(terms):
+    """Every term has its cached blind form, and equal subterms are one object."""
+    assert all(blind_form(t) == blinded(t) for t in terms)
+    assert equal_subterms_are_one_object(terms)
+
+
+@pytest.mark.parametrize("name, cfg", SEED_PROBLEMS)
+def test_derived_equations_are_nodes_of_the_induce_pool_on_seed_problems(name, cfg):
+    problem = load_problem(name, **cfg)
+    sides, renamed = derived_sides((problem.target, problem.examples, problem.sort_env,
+                                    problem.signatures, problem.config))
+    assert_nodes_of_one_pool(sides + renamed)
+    assert bool(renamed) == (name == "rev.tl")  # the one seed problem whose rhs hold variables
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_derived_equations_are_nodes_of_the_induce_pool(seed):
+    sides, renamed = derived_sides(random_small_problem(random.Random(seed)))
+    assert_nodes_of_one_pool(sides + renamed)
+
+
+def test_small_problem_draws_resolve_calls_to_renamed_right_hand_sides():
+    # the property above is vacuous for renamed resolutions unless some draw makes one
+    assert any(derived_sides(random_small_problem(random.Random(seed)))[1] for seed in range(20))

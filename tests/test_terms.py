@@ -6,6 +6,7 @@ from sys import getrecursionlimit
 import pytest
 from hypothesis import given, strategies as st
 
+from rwlearn.learner import _resolve_call
 from rwlearn.terms import (
     App,
     ArityMismatch,
@@ -36,6 +37,7 @@ from helpers import (
     built_apart,
     constructor_home,
     equal_subterms_are_one_object,
+    interned,
     is_ground,
     is_renaming,
     list_env,
@@ -184,9 +186,9 @@ def test_cached_example_facts_agree_with_subterm_walks(seed):
     env = list_env()
     pool = {"nat": ["x", "y"], "list": ["z"]}
     args = (random_term(env, "list", 4, rng, pool), random_term(env, "nat", 3, rng, pool))
-    eq = IOEquation("f", args, random_term(env, "list", 3, rng, pool))
+    [eq], _ = interned([IOEquation("f", args, random_term(env, "list", 3, rng, pool))])
     assert eq.arg_heads == lhs_heads_by_subterms(eq)
-    assert eq.ground_rhs == is_ground(eq.rhs)
+    assert (blind_form(eq.rhs) is eq.rhs) == is_ground(eq.rhs)
 
 
 def test_cached_example_facts_are_not_bounded_by_the_recursion_limit():
@@ -194,12 +196,12 @@ def test_cached_example_facts_are_not_bounded_by_the_recursion_limit():
     for i in range(10 * getrecursionlimit()):
         t = App("cons", (nat(i % 3) if i % 2 else Var("x"), t))
         ground = App("cons", (nat(i % 3), ground))
-    eq = IOEquation("f", (t, App("0")), ground)
     # a plain boolean, asserted outside the handler: pytest's report of a deep
     # RecursionError takes minutes
     try:
+        [eq], _ = interned([IOEquation("f", (t, App("0")), ground)])
         same = (eq.arg_heads == lhs_heads_by_subterms(eq) == frozenset({"cons", "s", "0"})
-                and eq.ground_rhs)
+                and blind_form(eq.rhs) is eq.rhs)
     except RecursionError:
         same = False
     assert same
@@ -364,13 +366,17 @@ def test_blind_forms_agree_with_the_oracle(seed):
             assert (blind is u) == is_ground(u)
     assert equal_subterms_are_one_object([blind_form(u) for u in nodes])
     assert {key for key in pool if key.__class__ is str} == {*term_vars(t1), *term_vars(t2)}
-    # a copy built apart, a renamed copy, and a new node over interned ones
+    # a copy built apart, a renamed copy, and a new node over interned ones,
+    # each interned into the pool; a node outside it has no blind form
     renamed = substitute(t1, {"x": Var("y"), "y": Var("u"), "z": Var("w")})
     above = App("cons", (App("0"), interned[1]))
+    with pytest.raises(AttributeError):
+        blind_form(above)
     for t, oracle in [(built_apart(t1), t1), (renamed, t1), (above, above)]:
-        blind = blind_form(t)
-        assert blind == blinded(oracle) and blind_form(t) is blind
-    assert blind_form(above).args[1] is blind_form(interned[1])
+        blind = blind_form(intern(t, pool))
+        assert blind == blinded(oracle) and blind_form(intern(built_apart(t), pool)) is blind
+    assert blind_form(intern(renamed, pool)) is blind_form(interned[0])
+    assert blind_form(intern(above, pool)).args[1] is blind_form(interned[1])
 
 
 def test_blind_forms_are_not_bounded_by_the_recursion_limit():
@@ -380,7 +386,12 @@ def test_blind_forms_are_not_bounded_by_the_recursion_limit():
     # a plain boolean, asserted outside the handler, as in the intern test above
     try:
         expected = blinded(t)
-        same = blind_form(built_apart(t)) == expected and blind_form(intern(t, {})) == expected
+        [ex], pool = interned([IOEquation("f", (t,), t)])
+        # f(t) = t resolves a call on t renamed to the call's argument itself
+        call = App("f", (intern(substitute(t, {"x": Var("y")}), pool),))
+        value, _ = _resolve_call(call, [ex], pool)
+        same = (value is call.args[0] and blind_form(value) is blind_form(ex.rhs)
+                and blind_form(value) == expected)
     except RecursionError:
         same = False
     assert same
