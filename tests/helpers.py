@@ -12,7 +12,6 @@ import pytest
 
 from rwlearn import InduceConfig, ParseError, codegen, induce, parse_problem, rewrite
 from rwlearn.codegen import compile_system
-from rwlearn.learner import _resolve_call
 from rwlearn.rewrite import EvalError, RewriteSystem, Rule, StepLimitExceeded, StuckTerm
 from rwlearn.terms import (
     BLIND,
@@ -25,6 +24,7 @@ from rwlearn.terms import (
     fold,
     intern,
     match_pattern,
+    render_term,
     renaming_match,
     same_term,
     substitute,
@@ -95,9 +95,9 @@ def blinded(t):
 
 
 def renames_onto(a, b) -> bool:
-    """Oracle for the repetition check: whether some order of the example list
-    b renames onto the list a equation by equation, each on its own, with the
-    function symbols ignored.  Tries every order."""
+    """Oracle for the repetition check and the call lookup: whether some order of
+    the example list b renames onto the list a equation by equation, each on
+    its own, with the function symbols ignored.  Tries every order."""
     def sides(ex):
         return App("", (*ex.lhs_args, ex.rhs))
 
@@ -533,7 +533,28 @@ def untabled_covers_all(system, examples, step_limit: int = 10000):
     return not uncovered, uncovered
 
 
-def scan_derive_aux_examples(scheme, all_examples, subset, pool):
+def scan_resolve_call(call: App, examples) -> tuple:
+    """Oracle for `learner._resolve_call`: the rhs of the first example whose lhs renames
+    onto call, renamed as the two lhs's variables pair up in pre-order, and a warning
+    when the examples whose lhs renames onto call do not all give an `==` rhs so."""
+    def lhs(args):
+        return [eq("", args, App(""))]
+
+    resolutions = []
+    for ex in examples:
+        if ex.fn == call.head and renames_onto(lhs(ex.lhs_args), lhs(call.args)):
+            sigma = {u.name: v for u, v in zip(subterms(ex.lhs), subterms(call))
+                     if u.__class__ is Var}
+            resolutions.append(substitute(ex.rhs, sigma))
+    if not resolutions:
+        return None, None
+    if all(r == resolutions[0] for r in resolutions):
+        return resolutions[0], None
+    return resolutions[0], (f"ambiguous lookup for {render_term(call)}: "
+                            f"{', '.join(map(render_term, resolutions))}; taking the first")
+
+
+def scan_derive_aux_examples(scheme, all_examples, subset):
     """Oracle for `learner.derive_aux_examples`: every call is tried against every example."""
     derived = []
     underivable = []
@@ -547,7 +568,7 @@ def scan_derive_aux_examples(scheme, all_examples, subset, pool):
         for arg in scheme.rhs.args:
             if isinstance(arg, App) and arg.head == scheme.lhs.head:
                 call = substitute(arg, binding)
-                value, warn = _resolve_call(call, all_examples, pool)
+                value, warn = scan_resolve_call(call, all_examples)
                 if warn:
                     warnings.append(warn)
                 if value is None:

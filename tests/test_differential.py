@@ -13,7 +13,9 @@ All of this holds at both tiers of the evaluator: with every call run by
 the generic loop, with every untabled evaluation of a root call over normal
 arguments run by the compiled evaluator, and with a system that turns hot
 between two calls.  The compiled evaluator is one function that does not
-call itself, and its blocks nest no deeper for larger systems or terms.
+call itself, and its blocks nest no deeper for larger systems or terms; the
+random rules put lhs pattern nodes into their right-hand sides, whose
+instances it takes from the input instead of building them.
 `terms.match_pattern` must return the binding of `closure_match_pattern`, in
 the same key order, and `terms.substitute` the instance that
 `closure_substitute` builds.  `learner.derive_aux_examples`,
@@ -240,13 +242,22 @@ CATCH_ALL = [Rule(App("c"), App("0")), Rule(App("f", (Var("x0"),)), App("s", (Va
              Rule(App("g", (Var("x0"), Var("x1"))), App("p", (Var("x0"), Var("x1"))))]
 
 
-@pytest.mark.parametrize("tier", [*TIERS, SWITCH])
-@given(st.integers(0, 10**9))
-def test_right_hand_sides_are_instantiated_as_the_oracle_does(tier, seed):
-    # one random rule for r, whose rhs may call c, f and g; each of those has
-    # a single rule that keeps its arguments, so every instance reaches a
-    # normal form in which each part of the contractum can be seen
-    rng = random.Random(seed)
+R_SIGS = [Signature(h, ("t",) * n, "t") for h, n in {**DEFINED, "r": 2}.items()]
+
+# where random_r_rule puts a compound lhs pattern node into the rhs, and
+# "index" when that node is the lhs argument at r's index position
+PLACES = ["below a call", "beside a call", "whole rhs"]
+
+
+def random_r_rule(rng) -> tuple:
+    """(lhs, rhs, part, kinds): one random rule for r, whose rhs may call c, f and g.
+
+    Sometimes a compound lhs pattern node that holds a variable, part, is
+    put into the rhs too: as an argument of a call, beside a call so that
+    its value is saved across the call, or as the whole rhs; kinds names where,
+    and whether part is the argument at the index position.  Else part is
+    None and kinds is empty.
+    """
     names = iter(f"y{i}" for i in range(100))
     lhs = App("r", tuple(random_pattern(3, rng, lambda: next(names)) for _ in range(2)))
     symbols, variables = {**CTORS, **DEFINED}, term_vars(lhs)
@@ -259,13 +270,81 @@ def test_right_hand_sides_are_instantiated_as_the_oracle_does(tier, seed):
                 App("s", (random_small_term(3, rng, CTORS, variables, 0.5),)), rhs]
         rng.shuffle(args)
         rhs = App(rng.choice(["p", "g"]), tuple(args[:2]))
-    sigs = [Signature(h, ("t",) * n, "t") for h, n in {**DEFINED, "r": 2}.items()]
+    parts = [u for a in lhs.args for u in subterms(a) if u.__class__ is App and term_vars(u)]
+    if not parts or rng.random() < 0.3:
+        return lhs, rhs, None, set()
+    # r has one rule: its index position is its first compound argument
+    indexed = next(a for a in lhs.args if a.__class__ is App)
+    part = indexed if indexed in parts and rng.random() < 0.5 else rng.choice(parts)
+    place, call = rng.choice(PLACES), rng.choice(["f", "g"])
+    if place == "whole rhs":
+        rhs = part
+    elif place == "below a call":
+        args = [part, rhs][:DEFINED[call]]
+        rng.shuffle(args)
+        rhs = App(call, tuple(args))
+        if rng.random() < 0.5:
+            rhs = App("s", (rhs,))
+    else:
+        args = [App(call, tuple(random_small_term(3, rng, symbols, variables)
+                                for _ in range(DEFINED[call]))), part]
+        rng.shuffle(args)
+        rhs = App(rng.choice(["p", "g"]), tuple(args))
+    return lhs, rhs, part, {place, "index"} if part is indexed else {place}
+
+
+def random_instance(lhs, rng):
+    return substitute(lhs, {v: random_small_term(rng.randint(1, 3), rng, CTORS, ["a"], 0.2)
+                            for v in term_vars(lhs)})
+
+
+@pytest.mark.parametrize("tier", [*TIERS, SWITCH])
+@given(st.integers(0, 10**9))
+def test_right_hand_sides_are_instantiated_as_the_oracle_does(tier, seed):
+    # each of c, f and g has a single rule that keeps its arguments, so every
+    # instance reaches a normal form in which each part of the contractum can
+    # be seen
+    rng = random.Random(seed)
+    lhs, rhs, _, _ = random_r_rule(rng)
     with hot_steps(tier):
-        system = RewriteSystem([Rule(lhs, rhs), *CATCH_ALL], sigs)
+        system = RewriteSystem([Rule(lhs, rhs), *CATCH_ALL], R_SIGS)
         for _ in range(3):
-            t = substitute(lhs, {v: random_small_term(rng.randint(1, 3), rng, CTORS, ["a"], 0.2)
-                                 for v in variables})
-            assert_same_outcome(system, t, 100)
+            assert_same_outcome(system, random_instance(lhs, rng), 100)
+
+
+def matched_node(pattern, t, part):
+    """The node of t that the node part of pattern matches."""
+    stack = [(pattern, t)]
+    while stack:
+        p, u = stack.pop()
+        if p is part:
+            return u
+        if p.__class__ is App:
+            stack += zip(p.args, u.args)
+    raise ValueError("part is not a node of pattern")
+
+
+def test_r_rule_draws_reach_every_place_of_a_matched_node():
+    # the property above checks the compiled evaluator's reuse of a matched
+    # node only if its draws reach each place: then the node of the input
+    # that part matched is itself a node of the normal form, as no other
+    # node of the input or of the rules is that object
+    reused = dict.fromkeys([*PLACES, "index"], 0)
+    for seed in range(300):
+        rng = random.Random(seed)
+        lhs, rhs, part, kinds = random_r_rule(rng)
+        if part is None:
+            continue
+        with hot_steps(0):
+            system = RewriteSystem([Rule(lhs, rhs), *CATCH_ALL], R_SIGS)
+        t = random_instance(lhs, rng)
+        node = matched_node(lhs, t, part)
+        normal_form, _ = evaluate_steps(system, t, 100)
+        if any(u is node for u in subterms(normal_form)):
+            for kind in kinds:
+                reused[kind] += 1
+    # 23 to 59 draws of each kind reach it
+    assert min(reused.values()) >= 15, reused
 
 
 def nesting(tree) -> int:
@@ -284,45 +363,54 @@ def nesting(tree) -> int:
 FLAT = 6
 
 
-def assert_one_flat_function(system):
+def one_flat_function(system) -> bool:
+    """Whether the evaluator source of system is one function that does not
+    call itself, and nests no deeper than FLAT."""
     tree = ast.parse(evaluator_source(system)[0])
     [run] = tree.body
-    assert isinstance(run, ast.FunctionDef)
-    assert not any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == run.name
-                   for node in ast.walk(run))
-    assert nesting(tree) <= FLAT
+    return (isinstance(run, ast.FunctionDef)
+            and not any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == run.name
+                        for node in ast.walk(run))
+            and nesting(tree) <= FLAT)
 
 
 @given(st.integers(0, 10**9))
 def test_generated_evaluators_are_one_flat_function(seed_systems, seed):
     rng = random.Random(seed)
-    assert_one_flat_function(rng.choice(seed_systems)[1])
-    assert_one_flat_function(random_system(rng) if rng.random() < 0.5 else cleanup_system(rng))
+    assert one_flat_function(rng.choice(seed_systems)[1])
+    assert one_flat_function(random_system(rng) if rng.random() < 0.5 else cleanup_system(rng))
 
 
 def test_generated_evaluators_stay_flat_for_large_systems_and_terms():
     # many buckets of one symbol, many rules in one bucket, many symbols, a
     # deep lhs and a deep rhs, deeper than the parser and the compiler take
-    # nested expressions
+    # nested expressions, and a deep rhs that holds a deep pattern node twice
     n = 2 * getrecursionlimit()
     x = Var("x")
     deep = x
     for _ in range(n):
         deep = App("s", (deep,))
     sigs = [Signature(f"f{i}", ("t",), "t") for i in range(300)]
-    systems = [
-        RewriteSystem([Rule(App("f0", (App(f"c{i}", (x,)),)), App("f0", (x,)))
-                       for i in range(300)], sigs[:1]),
-        RewriteSystem([Rule(App("f0", (App("p", (x, App(f"c{i}"))),)), App("f0", (x,)))
-                       for i in range(300)], sigs[:1]),
-        RewriteSystem([Rule(App(f"f{i}", (x,)), App(f"f{(i + 1) % 300}", (App("s", (x, x)),)))
-                       for i in range(300)], sigs),
-        RewriteSystem([Rule(App("f0", (deep,)), x)], sigs[:1]),
-        RewriteSystem([Rule(App("f0", (x,)), substitute(deep, {"x": App("f1", (x,))})),
-                       Rule(App("f1", (x,)), x)], sigs[:2]),
-    ]
-    for system in systems:
-        assert_one_flat_function(system)
+    # plain booleans, asserted outside the handler: pytest's report of a deep
+    # RecursionError takes minutes
+    try:
+        systems = [
+            RewriteSystem([Rule(App("f0", (App(f"c{i}", (x,)),)), App("f0", (x,)))
+                           for i in range(300)], sigs[:1]),
+            RewriteSystem([Rule(App("f0", (App("p", (x, App(f"c{i}"))),)), App("f0", (x,)))
+                           for i in range(300)], sigs[:1]),
+            RewriteSystem([Rule(App(f"f{i}", (x,)), App(f"f{(i + 1) % 300}", (App("s", (x, x)),)))
+                           for i in range(300)], sigs),
+            RewriteSystem([Rule(App("f0", (deep,)), x)], sigs[:1]),
+            RewriteSystem([Rule(App("f0", (x,)), substitute(deep, {"x": App("f1", (x,))})),
+                           Rule(App("f1", (x,)), x)], sigs[:2]),
+            RewriteSystem([Rule(App("f0", (deep,)), App("p", (deep, substitute(deep, {})))),
+                           Rule(App("f1", (x,)), x)], sigs[:2]),
+        ]
+        flat = [one_flat_function(system) for system in systems]
+    except RecursionError:
+        flat = []
+    assert flat == [True] * 6
 
 
 def test_random_systems_reach_every_index_shape():
@@ -668,7 +756,7 @@ def schemes(seed):
 def test_indexed_call_lookup_agrees_with_the_scan(seed):
     for scheme, examples, subset, pool in schemes(seed):
         assert derive_aux_examples(scheme, examples, subset, pool) == \
-            scan_derive_aux_examples(scheme, examples, subset, pool)
+            scan_derive_aux_examples(scheme, examples, subset)
 
 
 def test_example_set_draws_reach_every_outcome(monkeypatch):

@@ -1,6 +1,7 @@
 """Unit tests for rule admission, innermost evaluation and coverage."""
 
 import ast
+import itertools
 import math
 import re
 from sys import getrecursionlimit
@@ -107,28 +108,39 @@ def test_deep_right_hand_sides_are_built_and_evaluated_without_recursion(tier):
             t = App("s", (t,))
         return t
 
-    with hot_steps(tier):
-        sys = RewriteSystem(
-            [
-                Rule(App("f", (x,)), tower(App("g", (x,)))),
-                Rule(App("g", (x,)), App("s", (x,))),
-                Rule(App("h", (x,)), tower(x)),
-            ],
-            [Signature(name, ("nat",), "nat") for name in ("f", "g", "h")],
-        )
-    assert is_hot(sys) == (tier == 0)
-    assert sys.index["h"] == (None, [(App("h", (x,)), tower(x), None)])
-    # h(0) -> s^n(0); f(s^n(0)) -> s^n(g(s^n(0))); g(s^n(0)) -> s^(n+1)(0)
-    t = App("f", (App("h", (nat(0),)),))
-    table = {}
-    with compiles() as compiled:
-        # untabled, tabled, and again from the table
-        for known in (None, table, table):
-            out, steps = evaluate_steps(sys, t, table=known)
-            assert steps == 3 and same_term(out, nat(2 * n + 1))
-        out, steps = evaluate_steps(sys, App("h", (nat(1),)))
-        assert steps == 1 and same_term(out, nat(n + 1))
-    assert compiled == ([sys] if tier == 0 else [])
+    # plain booleans, asserted outside the handler: pytest's report of a deep
+    # RecursionError takes minutes
+    try:
+        with hot_steps(tier):
+            sys = RewriteSystem(
+                [
+                    Rule(App("f", (x,)), tower(App("g", (x,)))),
+                    Rule(App("g", (x,)), App("s", (x,))),
+                    Rule(App("h", (x,)), tower(x)),
+                ],
+                [Signature(name, ("nat",), "nat") for name in ("f", "g", "h")],
+            )
+        hot = is_hot(sys) == (tier == 0)
+        indexed = sys.index["h"] == (None, [(App("h", (x,)), tower(x), None)])
+        # h(0) -> s^n(0); f(s^n(0)) -> s^n(g(s^n(0))); g(s^n(0)) -> s^(n+1)(0)
+        t = App("f", (App("h", (nat(0),)),))
+        table = {}
+        normal = []
+        with compiles() as compiled:
+            # untabled, tabled, and again from the table
+            for known in (None, table, table):
+                out, steps = evaluate_steps(sys, t, table=known)
+                normal.append(steps == 3 and same_term(out, nat(2 * n + 1)))
+            out, steps = evaluate_steps(sys, App("h", (nat(1),)))
+            normal.append(steps == 1 and same_term(out, nat(n + 1)))
+        compiled_once = compiled == ([sys] if tier == 0 else [])
+    except RecursionError:
+        hot = indexed = compiled_once = False
+        normal = []
+    assert hot
+    assert indexed
+    assert normal == [True] * 4
+    assert compiled_once
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -139,14 +151,23 @@ def test_deep_left_hand_sides_are_matched_without_recursion(tier):
     pattern = x
     for _ in range(n):
         pattern = App("s", (pattern,))
-    with hot_steps(tier):
-        sys = RewriteSystem([Rule(App("d", (pattern, nat(1))), x)],
-                            [Signature("d", ("nat", "nat"), "nat")])
-    assert is_hot(sys) == (tier == 0)
-    assert outcome(evaluate_steps, sys, App("d", (nat(n + 2), nat(1))), 10) == (nat(2), 1)
-    for t in (App("d", (nat(n - 1), nat(1))), App("d", (nat(n + 2), nat(2))),
-              App("d", (nat(n + 2),))):
-        assert outcome(evaluate_steps, sys, t, 10) == (StuckTerm, t)
+    # plain booleans, asserted outside the handler: pytest's report of a deep
+    # RecursionError takes minutes
+    try:
+        with hot_steps(tier):
+            sys = RewriteSystem([Rule(App("d", (pattern, nat(1))), x)],
+                                [Signature("d", ("nat", "nat"), "nat")])
+        hot = is_hot(sys) == (tier == 0)
+        matched = outcome(evaluate_steps, sys, App("d", (nat(n + 2), nat(1))), 10) == (nat(2), 1)
+        stuck = [outcome(evaluate_steps, sys, t, 10) == (StuckTerm, t)
+                 for t in (App("d", (nat(n - 1), nat(1))), App("d", (nat(n + 2), nat(2))),
+                           App("d", (nat(n + 2),)))]
+    except RecursionError:
+        hot = matched = False
+        stuck = []
+    assert hot
+    assert matched
+    assert stuck == [True] * 3
 
 
 def test_golden_add_system_index_triples():
@@ -166,6 +187,45 @@ def test_golden_add_system_index_triples():
         "f7": (0, {"0": [(*f7_zero, None)], "s": [(*f7_step, None)]}),
     }
     assert system.index["add"][1]["s"][0][2][0] is NORMAL
+
+
+def golden_rev_system() -> RewriteSystem:
+    problem, report = run_file("rev.tl")
+    system = prune_irrelevant_args(report.system, keep={problem.target})
+    assert [rule.render() for rule in system.rules][-1] == \
+        "f13(va,cons(vb,v15))=cons(va,cons(vb,v15))"
+    return system
+
+
+def test_the_golden_rev_system_builds_one_node_per_f13_step():
+    # the inner cons of f13's rhs is the redex's own second argument, a1, so
+    # the compiled step builds only the outer cons, and unpacks nothing
+    source, constants = evaluator_source(golden_rev_system())
+    lines = source.splitlines()
+    start = lines.index(f"        if pc == {constants['calls']['f13'][1]}:") + 1
+    block = list(itertools.takewhile(lambda line: not line.startswith("        if pc == "),
+                                     lines[start:]))
+    assert [line.strip() for line in block if "App(" in line and "StuckTerm" not in line] == \
+        ["r = App('cons', (a0, a1, ))"]
+    assert not any(line.endswith(".args") for line in block)
+
+
+def test_a_hot_system_returns_the_matched_input_nodes_themselves():
+    # in d's rhs, s(s(x)) is d's first argument and s(x) its argument
+    x, y = Var("x"), Var("y")
+    d = RewriteSystem([Rule(App("d", (App("s", (App("s", (x,)),)), y)),
+                            App("p", (App("s", (App("s", (x,)),)), App("s", (x,)), y)))],
+                      [Signature("d", ("nat", "nat"), "nat")])
+    with hot_steps(0):
+        rev, d = rebuilt(golden_rev_system()), rebuilt(d)
+    tail = lst(nat(1), nat(2))
+    out, steps = evaluate_steps(rev, App("f13", (nat(0), tail)))
+    assert steps == 1 and out == App("cons", (nat(0), tail)) and out.args[1] is tail
+    t = App("d", (nat(3), nat(1)))
+    out, steps = evaluate_steps(d, t)
+    assert steps == 1 and out == App("p", (nat(3), nat(2), nat(1)))
+    assert out.args[0] is t.args[0] and out.args[1] is t.args[0].args[0]
+    assert out.args[2] is t.args[1]
 
 
 def test_redex_skeleton_marks_the_positions_that_can_hold_a_redex():
