@@ -4,7 +4,9 @@ The function evaluates a root call over normal arguments; the generic loop
 of `evaluate_steps` walks any other input.  It builds only the rhs nodes
 that the match does not hold: where an rhs node equals a pattern node, the
 redex node matched there is the instance, so a result may share nodes with
-its input.
+its input.  It builds each node inline, by `object.__new__` and the three
+slot stores of `App.__init__`, and reads an index head with no class test,
+as `Var.head` is None; so a step makes no Python-level call.
 `rewrite` loads this module when the first system turns hot, so runs whose
 systems all stay cold do not.
 """
@@ -37,7 +39,7 @@ def compile_system(sys):
     `rewrite.evaluate_steps(sys, t, step_limit)` gives without a table, the normal form
     and the step count or the same exception."""
     source, constants = evaluator_source(sys)
-    namespace = {"__builtins__": {}, "App": App, "StuckTerm": StuckTerm,
+    namespace = {"__builtins__": {}, "App": App, "new": object.__new__, "StuckTerm": StuckTerm,
                  "StepLimitExceeded": StepLimitExceeded, "len": len, **constants}
     exec(source, namespace)
     return namespace["run"]
@@ -47,24 +49,25 @@ def evaluator_source(sys) -> tuple:
     """The source of `run` for `compile_system`, and the constants it reads.
 
     `run` is one loop over blocks, each `if pc == label:`, on an explicit
-    continuation stack of tuples `(label, values saved for later)`.  A
-    call puts its normal arguments in the locals a0, a1, ... and jumps to
-    its symbol's block; a block that has a result puts it in r, pops the
-    stack and jumps to the popped label.  A symbol's block reads the
-    constructor at its `RewriteSystem.index` position, and tries the rules
-    of that bucket inline, in rule order.  A rule's lhs is matched one
-    pattern node per guard, which unpacks only the arguments that later
-    code reads, and its rhs is straight-line code in post-order, one
-    statement per node: a normal node is built from the match locals,
-    unless it equals a pattern node, whose local it reads instead (a ground
-    node is a constant), and a defined call pushes the values that later
-    code reads, with a label whose block resumes there, unless it is the
-    rhs root.  A redex is built only for the StuckTerm of a call that no
-    rule matches.  `run` starts at the block of its input's root call, whose
-    arguments are normal: `evaluate_steps` walks every other input in its
-    generic loop.  No block nests deeper with more rules, symbols or larger
-    terms, and no name of sys is in the source other than as a `repr()`
-    literal.
+    continuation stack of tuples `(label, values saved for later)`.  A call
+    puts its normal arguments in the locals a0, a1, ... and jumps to its
+    symbol's block; a block that has a result puts it in r, pops the stack
+    and jumps to the popped label.  A symbol's block reads the head at its
+    `RewriteSystem.index` position, None for a variable, which no bucket
+    holds, and tries the rules of that bucket inline, in rule order.  A
+    rule's lhs is matched one pattern node per guard, which unpacks only the
+    arguments that later code reads, and its rhs is straight-line code in
+    post-order: a normal node is built from the match locals by `new(App)`
+    (`object.__new__`) and its three slot stores, with no call to
+    `App.__init__`, unless it equals a pattern node, whose local it reads
+    instead (a ground node is a constant), and a defined call pushes the
+    values that later code reads, with a label whose block resumes there,
+    unless it is the rhs root.  A redex is built only for the StuckTerm of a
+    call that no rule matches.  `run` starts at the block of its input's
+    root call, whose arguments are normal: `evaluate_steps` walks every
+    other input in its generic loop.  No block nests deeper with more rules,
+    symbols or larger terms, and no name of sys is in the source other than
+    as a `repr()` literal.
     """
     labels = itertools.count(DONE + 1)
     entry = {name: next(labels) for name in sys.sig_by_name}
@@ -81,7 +84,7 @@ def evaluator_source(sys) -> tuple:
         lines = []
         buckets = [(None, rules)] if position is None else rules.items()
         if position is not None:
-            lines.append(f"h = a{position}.head if a{position}.__class__ is App else None")
+            lines.append(f"h = a{position}.head")
         resumes = []
         for key, bucket in buckets:
             tries = []
@@ -220,7 +223,9 @@ def _body(rhs, image, calls, labels, constant) -> tuple:
     for local, head, values, call in items:
         operands = [v if v.__class__ is str else constant(v) for v in values]
         if not call:
-            lines.append(f"{'r' if local is root else local} = App({head!r}, ({_items(operands)}))")
+            n = "r" if local is root else local
+            lines += [f"{n} = new(App)", f"{n}.head = {head!r}", f"{n}.args = ({_items(operands)})",
+                      f"{n}._hash = None"]
             continue
         if len(operands) != calls[head][0]:  # a call that no rule of head can match
             lines.append(f"raise StuckTerm(App({head!r}, ({_items(operands)})))")

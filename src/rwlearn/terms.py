@@ -67,6 +67,9 @@ class InvalidSortEnv(TermError):
 @dataclass(frozen=True)
 class Var:
     name: str
+    # not a field: a variable has no head, so that code reading any term's
+    # head, like the compiled tier's index read, needs no class test first
+    head = None
 
     def __repr__(self):
         return f"Var({self.name!r})"
@@ -80,7 +83,9 @@ class App:
     depth can be dict keys.  The hash is `hash((head, args))`; `intern` sets
     it so on the nodes it adds, and the two must agree.  Only `intern` sets
     `_blind`, the `blind_form`, as a store in `__init__` would slow every
-    contraction; a node outside a pool has none.
+    contraction; a node outside a pool has none.  The compiled tier
+    (`codegen`) builds nodes without calling `__init__`, by `object.__new__`
+    and the same three slot stores, so `__init__` must stay those stores.
     """
 
     __slots__ = ("head", "args", "_hash", "_blind")

@@ -15,7 +15,9 @@ arguments run by the compiled evaluator, and with a system that turns hot
 between two calls.  The compiled evaluator is one function that does not
 call itself, and its blocks nest no deeper for larger systems or terms; the
 random rules put lhs pattern nodes into their right-hand sides, whose
-instances it takes from the input instead of building them.
+instances it takes from the input instead of building them.  Each App of a
+compiled normal form is whole, as `App(...)` builds one: equal to the
+generic loop's node at its position, hashed alike, and without a blind form.
 `terms.match_pattern` must return the binding of `closure_match_pattern`, in
 the same key order, and `terms.substitute` the instance that
 `closure_substitute` builds.  `learner.derive_aux_examples`,
@@ -75,6 +77,7 @@ from rwlearn.terms import (
 )
 
 from helpers import (
+    built_apart,
     closure_match_pattern,
     closure_substitute,
     constructor_home,
@@ -83,6 +86,8 @@ from helpers import (
     interned,
     line_column_tokenize,
     list_env,
+    lst,
+    nat,
     nat_env,
     outcome,
     random_term,
@@ -411,6 +416,67 @@ def test_generated_evaluators_stay_flat_for_large_systems_and_terms():
     except RecursionError:
         flat = []
     assert flat == [True] * 6
+
+
+def assert_whole_nodes(system, t, step_limit):
+    """Each App of the compiled tier's normal form of t is a whole `App`, as
+    `App(...)` builds one outside a pool: its slots set and its hash cached
+    right or not at all, equal and hashed alike to the generic loop's node at
+    its position, and without a blind form.  The rules and t share no node
+    with a pool.  Gives the number of Apps checked."""
+    with hot_steps(math.inf):
+        cold = rebuilt(system)
+    with hot_steps(0):
+        hot = rebuilt(system)
+    expected = outcome(evaluate_steps, cold, t, step_limit)
+    assert outcome(evaluate_steps, hot, t, step_limit) == expected
+    if expected[0] in (StuckTerm, StepLimitExceeded):
+        return 0
+    checked = 0
+    for u, v in zip(subterms(evaluate_steps(hot, t, step_limit)[0]), subterms(expected[0])):
+        if u.__class__ is Var:
+            assert u == v
+            continue
+        assert u.__class__ is App and v.__class__ is App
+        assert u._hash is None or u._hash == hash((u.head, u.args))
+        assert hash(u) == hash(v) and {u: 1}[v] == 1 and {v: 1}[u] == 1
+        with pytest.raises(AttributeError):
+            blind_form(u)
+        checked += 1
+    return checked
+
+
+def test_compiled_normal_forms_of_the_golden_systems_are_whole_apps():
+    tree = App("nl")  # a right spine: the learned size is stuck on some deeper left subtrees
+    for i in range(12):
+        tree = App("nd", (App("nl"), Var(f"v{i}"), tree))
+    longer = {"rev.tl": App("rev", (lst(*map(nat, range(12))),)),
+              "add.tl": App("add", (nat(9), nat(7))),
+              "size.tl": App("size", (tree,))}
+    checked = 0
+    for name, t in longer.items():
+        problem, report = run_file(name)
+        system = prune_irrelevant_args(report.system, keep={problem.target})
+        system = RewriteSystem([Rule(built_apart(r.lhs), built_apart(r.rhs))
+                                for r in system.rules], system.signatures)
+        for ex in problem.examples:
+            checked += assert_whole_nodes(system, built_apart(ex.lhs), 10000)
+        nodes = assert_whole_nodes(system, t, 10000)
+        assert nodes >= 12
+        checked += nodes
+    assert checked > 100
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_compiled_normal_forms_of_random_small_systems_are_whole_apps(seed):
+    rng = random.Random(seed)
+    system = random_system(rng)
+    for _ in range(5):
+        lhs = rng.choice(system.rules).lhs
+        t = substitute(lhs, {v: random_small_term(rng.randint(1, 3), rng, CTORS, ["a"], 0.1)
+                             for v in term_vars(lhs)})
+        assert_whole_nodes(system, t, 200)
 
 
 def test_random_systems_reach_every_index_shape():

@@ -3,8 +3,11 @@
 import ast
 import itertools
 import math
+import os
+import pathlib
 import re
-from sys import getrecursionlimit
+import subprocess
+from sys import executable, getrecursionlimit
 
 import pytest
 
@@ -197,17 +200,39 @@ def golden_rev_system() -> RewriteSystem:
     return system
 
 
+def block(source: str, label: int) -> list:
+    """The stripped lines of an evaluator source's block `if pc == label:`."""
+    lines = source.splitlines()
+    start = lines.index(f"        if pc == {label}:") + 1
+    return [line.strip() for line in itertools.takewhile(
+        lambda line: not line.startswith("        if pc == "), lines[start:])]
+
+
 def test_the_golden_rev_system_builds_one_node_per_f13_step():
     # the inner cons of f13's rhs is the redex's own second argument, a1, so
-    # the compiled step builds only the outer cons, and unpacks nothing
+    # the compiled step builds only the outer cons, inline, and unpacks nothing
     source, constants = evaluator_source(golden_rev_system())
-    lines = source.splitlines()
-    start = lines.index(f"        if pc == {constants['calls']['f13'][1]}:") + 1
-    block = list(itertools.takewhile(lambda line: not line.startswith("        if pc == "),
-                                     lines[start:]))
-    assert [line.strip() for line in block if "App(" in line and "StuckTerm" not in line] == \
-        ["r = App('cons', (a0, a1, ))"]
-    assert not any(line.endswith(".args") for line in block)
+    f13 = block(source, constants["calls"]["f13"][1])
+    assert [line for line in f13 if "App" in line and "StuckTerm" not in line] == \
+        ["r = new(App)"]
+    build = f13.index("r = new(App)")
+    assert f13[build:build + 4] == \
+        ["r = new(App)", "r.head = 'cons'", "r.args = (a0, a1, )", "r._hash = None"]
+    assert not any(line.endswith(".args") for line in f13)
+
+
+def test_show_evaluator_prints_the_evaluator_of_the_learned_rev():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run([executable, str(root / "scripts" / "show_evaluator.py"),
+                           str(root / "problems" / "rev.tl")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    [run] = ast.parse(proc.stdout).body
+    assert isinstance(run, ast.FunctionDef) and run.name == "run"
+    assert proc.stdout.startswith(evaluator_source(golden_rev_system())[0])
+    calls = ast.literal_eval(re.search(r"^# calls = (.*)$", proc.stdout, re.M)[1])
+    assert [line for line in block(proc.stdout, calls["f13"][1]) if "new(" in line] == \
+        ["r = new(App)"]
 
 
 def test_a_hot_system_returns_the_matched_input_nodes_themselves():
@@ -226,6 +251,45 @@ def test_a_hot_system_returns_the_matched_input_nodes_themselves():
     assert steps == 1 and out == App("p", (nat(3), nat(2), nat(1)))
     assert out.args[0] is t.args[0] and out.args[1] is t.args[0].args[0]
     assert out.args[2] is t.args[1]
+
+
+def stuck_steps(system, t) -> tuple:
+    """(the stuck term, the steps taken before it) of an evaluation of t that ends
+    stuck: the stuck term is met within s steps, and a limit of s - 1 is exceeded."""
+    with pytest.raises(StuckTerm) as info:
+        evaluate_steps(system, t, 100)
+    steps = 0
+    while outcome(evaluate_steps, system, t, steps) == (StepLimitExceeded, steps):
+        steps += 1
+    assert outcome(evaluate_steps, system, t, steps) == (StuckTerm, info.value.term)
+    return info.value.term, steps
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_a_variable_at_an_index_or_a_guarded_position_is_stuck_at_either_tier(tier):
+    # d is indexed at its first argument and guards its second; rev at its
+    # only one, and f13 at its second
+    x, y, z = Var("x"), Var("y"), Var("z")
+    d = RewriteSystem([Rule(App("d", (App("0"), y)), y),
+                       Rule(App("d", (App("s", (x,)), App("s", (y,)))), App("d", (x, y)))],
+                      [Signature("d", ("nat", "nat"), "nat")])
+    with hot_steps(tier):
+        d, rev = rebuilt(d), rebuilt(golden_rev_system())
+    assert d.index["d"][0] == 0 and rev.index["rev"][0] == 0 and rev.index["f13"][0] == 1
+    cases = [
+        # at the index position
+        (d, App("d", (z, nat(1))), App("d", (z, nat(1))), 0),
+        (d, App("d", (App("s", (z,)), nat(1))), App("d", (z, nat(0))), 1),
+        (rev, App("f13", (nat(0), z)), App("f13", (nat(0), z)), 0),
+        (rev, App("rev", (App("cons", (nat(0), App("cons", (nat(1), z)))),)), App("rev", (z,)),
+         2),
+        # at a guarded position that is not the index position
+        (d, App("d", (nat(1), z)), App("d", (nat(1), z)), 0),
+        (d, App("d", (nat(2), App("s", (z,)))), App("d", (nat(1), z)), 1),
+    ]
+    for system, t, term, steps in cases:
+        assert stuck_steps(system, t) == (term, steps)
+    assert is_hot(d) == is_hot(rev) == (tier == 0)
 
 
 def test_redex_skeleton_marks_the_positions_that_can_hold_a_redex():
@@ -533,13 +597,13 @@ def test_the_generated_evaluator_holds_names_only_as_literals(monkeypatch):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             assert re.fullmatch(r"[acnx]\d+|_|[hkmr]|arity|calls|pc|pop|push|stack|steps|"
-                                r"step_limit|t|App|StuckTerm|StepLimitExceeded|len",
+                                r"step_limit|t|App|new|StuckTerm|StepLimitExceeded|len",
                                 node.id), node.id
         elif isinstance(node, ast.Constant):
             assert node.value in names or isinstance(node.value, int) or node.value is None
         elif isinstance(node, ast.Call):
             func = node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
-            assert func in ("App", "StuckTerm", "StepLimitExceeded", "len", "pop", "push")
+            assert func in ("App", "new", "StuckTerm", "StepLimitExceeded", "len", "pop", "push")
 
 
 def test_evaluate_normal_form_is_fixed_point():

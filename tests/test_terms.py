@@ -1,5 +1,6 @@
 """Unit tests for terms, sorts, matching and sort inference."""
 
+import dataclasses
 import random
 from sys import getrecursionlimit
 
@@ -52,6 +53,19 @@ from helpers import (
 def test_term_vars_first_occurrence_order():
     t = App("f", (Var("b"), App("g", (Var("a"), Var("b"))), Var("c")))
     assert term_vars(t) == ["b", "a", "c"]
+
+
+def test_a_variable_reads_as_headless_and_is_otherwise_unchanged():
+    # the compiled evaluator reads any term's head; Var's is a class
+    # attribute, not a field, so equality, hashing and repr still see only name
+    x = Var("x")
+    assert x.head is None and Var.head is None
+    assert [f.name for f in dataclasses.fields(Var)] == ["name"]
+    assert x == Var("x") and x != Var("y") and x != App("x")
+    assert hash(x) == hash(Var("x")) == hash(("x",))
+    assert repr(x) == "Var('x')"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.head = "s"
 
 
 def test_is_ground():
