@@ -140,7 +140,9 @@ def run_problem(problem: Problem, *, inline: bool = False, trace: bool = True,
     if inline:
         system = inline_single_rule_aux(system, keep={problem.target})
     print("+++++ Examples output check:", file=out)
-    covered, uncovered = covers_all(system, problem.examples, problem.config.step_limit)
+    # parse_problem admits only constructors, none a function, in example arguments
+    covered, uncovered = covers_all(system, problem.examples, problem.config.step_limit,
+                                    normal_args=True)
     if not covered:
         # simplification must preserve coverage; treat a violation as a failure
         print("+++++ Examples output check FAILED", file=out)

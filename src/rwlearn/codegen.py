@@ -5,8 +5,9 @@ of `evaluate_steps` walks any other input.  It builds only the rhs nodes
 that the match does not hold: where an rhs node equals a pattern node, the
 redex node matched there is the instance, so a result may share nodes with
 its input.  It builds each node inline, by `object.__new__` and the three
-slot stores of `App.__init__`, and reads an index head with no class test,
-as `Var.head` is None; so a step makes no Python-level call.
+slot stores of `App.__init__`, and reads an index head or tests a pattern
+node's head with no class test, as `Var.head` is None; so a step makes no
+Python-level call.
 `rewrite` loads this module when the first system turns hot, so runs whose
 systems all stay cold do not.
 """
@@ -143,8 +144,7 @@ def _guards(lhs: App, position) -> tuple:
         n = len(pattern.args)
         condition = f"len({local}.args) == {n}" if n else f"not {local}.args"
         if not indexed:
-            condition = f"{local}.__class__ is App and {local}.head == {pattern.head!r} and " \
-                        + condition
+            condition = f"{local}.head == {pattern.head!r} and {condition}"
         names = [next(locals_) for _ in pattern.args]
         guards.append((pattern, condition, local, names))
         stack += [(name, arg, False) for name, arg in reversed(list(zip(names, pattern.args)))]

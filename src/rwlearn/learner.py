@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import is_
 
 from .antiunify import INF, generalize_examples
 from .rewrite import RewriteSystem, Rule, covers_all
@@ -163,11 +164,7 @@ def split_by_constructor(examples, position: int, alt: ConstructorAlt) -> list:
 
     A variable at that position matches no constructor.
     """
-    return [
-        ex
-        for ex in examples
-        if isinstance(ex.lhs_args[position], App) and ex.lhs_args[position].head == alt.name
-    ]
+    return [ex for ex in examples if ex.lhs_args[position].head == alt.name]  # Var.head is None
 
 
 def build_scheme(sig: Signature, position: int, alt: ConstructorAlt,
@@ -208,8 +205,9 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset, pool: dict
     Each recursive target call is resolved against the lhs of some given
     example via a renaming substitution; its rhs, renamed accordingly, stands
     in for the call.  The candidates are the examples whose lhs arguments
-    have the `blind_form`s of the call's, in example order, and
-    `renaming_match` tries each.  The examples are nodes of pool, and so is
+    have the `blind_form`s of the call's, in example order: one whose lhs
+    arguments are the call's own nodes resolves to its rhs as it stands, and
+    `renaming_match` tries the others.  The examples are nodes of pool, and so is
     each side of an auxiliary equation: a renamed rhs is interned there.
     Members with an unresolvable call are returned as underivable.  Returns
     (aux examples, underivable members, warnings), where aux examples carry
@@ -226,7 +224,6 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset, pool: dict
         if binding is None:
             raise ValueError("subset member does not match the scheme lhs")
         args = []
-        stuck_call = None
         for arg in scheme.rhs.args:
             if isinstance(arg, App) and arg.head == scheme.lhs.head:
                 call = substitute(arg, binding)
@@ -235,30 +232,32 @@ def derive_aux_examples(scheme: SchemeEquation, all_examples, subset, pool: dict
                 if warn:
                     warnings.append(warn)
                 if value is None:
-                    stuck_call = call
+                    underivable.append((member, call))
                     break
                 args.append(value)
             else:
                 args.append(substitute(arg, binding))
-        if stuck_call is not None:
-            underivable.append((member, stuck_call))
-            continue
-        derived.append((IOEquation(scheme.aux_sig.name, tuple(args), member.rhs), member))
+        else:
+            derived.append((IOEquation(scheme.aux_sig.name, tuple(args), member.rhs), member))
     return derived, underivable, warnings
 
 
 def _resolve_call(call: App, examples, pool: dict):
-    """First example whose lhs renames onto the call, rhs renamed into pool; warns if ambiguous."""
+    """First example whose lhs renames onto the call, rhs renamed into pool; warns if ambiguous.
+
+    One whose lhs arguments are the call's own nodes gives its rhs, the identity
+    renaming's instance, unmatched.  Resolutions are pool nodes: equal ones are one."""
     resolutions = []
     for ex in examples:
-        sigma = renaming_match(ex.lhs, call)
-        if sigma is not None:
+        if all(map(is_, ex.lhs_args, call.args)):
+            resolutions.append(ex.rhs)
+        elif (sigma := renaming_match(ex.lhs, call)) is not None:
             resolutions.append(ex.rhs if blind_form(ex.rhs) is ex.rhs  # ground: shared
                                else intern(substitute(ex.rhs, sigma), pool))
     if not resolutions:
         return None, None
     warn = None
-    if any(r != resolutions[0] for r in resolutions[1:]):
+    if any(r is not resolutions[0] for r in resolutions[1:]):
         warn = (f"ambiguous lookup for {render_term(call)}: "
                 f"{', '.join(render_term(r) for r in resolutions)}; taking the first")
     return resolutions[0], warn
@@ -300,10 +299,17 @@ def detect_repetition(history, key) -> bool:
 
 
 class _Ctx:
-    def __init__(self, env, cfg, fresh, report, pool):
+    """One `induce` run.  No fresh name is a head or variable of pool's nodes, and
+    derivation adds no head to pool, so `normal_args`, true when no such head names
+    a signature, vouches for the arguments of every equation the run checks."""
+
+    def __init__(self, env, cfg, report, pool, sig_map):
+        heads = {key[0] for key in pool if key.__class__ is tuple}
         self.env = env
         self.cfg = cfg
-        self.fresh = fresh
+        self.fresh = FreshNames({*sig_map, *env.symbols(), *heads,
+                                 *(key for key in pool if key.__class__ is str)})
+        self.normal_args = heads.isdisjoint(sig_map)
         self.report = report
         self.pool = pool  # every term `_induce` sees is a node of it
         self.underivable: list = []
@@ -327,7 +333,7 @@ def induce(target: str, examples, env: SortEnv, sigs,
 
     Failure is a value: the report carries the diagnostics (underivable
     auxiliary examples, uncovered examples per attempted position) instead of
-    raising.
+    raising.  Checked arguments are judged normal once per run (see `_Ctx`).
     """
     cfg = cfg if cfg is not None else InduceConfig()
     examples = list(examples)
@@ -338,15 +344,12 @@ def induce(target: str, examples, env: SortEnv, sigs,
         raise ValueError(f"no signature for {target}")
     # equal subterms of the examples become one object, so a coverage table
     # hit and the covered check stop at `is` one level down; derivation adds
-    # its renamed right-hand sides to the same pool, whose string keys are
-    # the example variables' names
+    # its renamed right-hand sides to the same pool
     pool = {}
     examples = [IOEquation(ex.fn, tuple([intern(a, pool) for a in ex.lhs_args]),
                            intern(ex.rhs, pool)) for ex in examples]
-    reserved = set(sig_map) | env.symbols()
-    reserved.update(key for key in pool if key.__class__ is str)
     report = InduceReport(target)
-    ctx = _Ctx(env, cfg, FreshNames(reserved), report, pool)
+    ctx = _Ctx(env, cfg, report, pool, sig_map)
     rules, aux_sigs, uncovered, _ = _induce(ctx, target, examples, sig_map, 0, frozenset())
     if rules is not None:
         # the attempt that built these rules evaluated every example against
@@ -395,7 +398,8 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
             if rule is not None:
                 candidate = RewriteSystem([rule], sig_map.values())
                 table = {}
-                ok, uncovered = covers_all(candidate, examples, cfg.step_limit, table)
+                ok, uncovered = covers_all(candidate, examples, cfg.step_limit, table,
+                                           ctx.normal_args)
                 if ok:
                     ctx.emit(level + 1, "anti-unifier", f"anti-unifier: {rule.render()}")
                     ctx.emit(level + 1, "covered", "all examples covered")
@@ -465,7 +469,8 @@ def _induce(ctx: _Ctx, fn: str, examples, sig_map, layer, history):
                 abandoned = False
             candidate = RewriteSystem(rules + aux_rules, list(sig_map.values()) + aux_sigs)
             if rules:
-                ok, uncovered = covers_all(candidate, examples, cfg.step_limit, table)
+                ok, uncovered = covers_all(candidate, examples, cfg.step_limit, table,
+                                           ctx.normal_args)
             else:
                 ok, uncovered = False, list(examples)
             ctx.report.attempts.append(PositionAttempt(fn, position, candidate, uncovered))

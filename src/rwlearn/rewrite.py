@@ -358,32 +358,34 @@ def evaluate(sys: RewriteSystem, t: Term, step_limit: int = 10000) -> Term:
     return evaluate_steps(sys, t, step_limit)[0]
 
 
-def covers(sys: RewriteSystem, ex: IOEquation, step_limit: int = 10000, table=None) -> bool:
+def covers(sys: RewriteSystem, ex: IOEquation, step_limit: int = 10000, table=None,
+           normal_args: bool = False) -> bool:
     """Whether evaluating the example lhs yields its rhs.
 
     Example variables are frozen as rigid atoms; evaluation failure (stuck
     subterm or step limit) counts as not covered, never as an exception.
-    table is passed on to evaluate_steps.
+    table and normal_args go to evaluate_steps; with normal_args the caller
+    vouches that no lhs argument holds a symbol sys defines.
     """
     try:
-        normal_form, _ = evaluate_steps(sys, ex.lhs, step_limit, table,
-                                        ex.arg_heads.isdisjoint(sys.sig_by_name))
+        normal_form, _ = evaluate_steps(sys, ex.lhs, step_limit, table, normal_args)
     except EvalError:
         return False
     return same_term(normal_form, ex.rhs)
 
 
-def covers_all(sys: RewriteSystem, examples, step_limit: int = 10000, table=None):
-    """(all covered?, list of uncovered examples).
+def covers_all(sys: RewriteSystem, examples, step_limit: int = 10000, table=None,
+               normal_args: bool = False):
+    """(all covered?, list of uncovered examples), each example checked by `covers`.
 
     The examples share one table of redex normal forms, so work that one
     example's evaluation shares with another's is done once.  table, when
     given, is that table: a dict owned by the caller, which may hold entries
     already and gets the new ones.  Each entry must be what an evaluation on
     sys with step_limit would record for its redex (see `evaluate_steps`),
-    or the result is not that of a fresh table.
+    or the result is not that of a fresh table.  normal_args is `covers`'.
     """
     if table is None:
         table = {}
-    uncovered = [ex for ex in examples if not covers(sys, ex, step_limit, table)]
+    uncovered = [ex for ex in examples if not covers(sys, ex, step_limit, table, normal_args)]
     return not uncovered, uncovered

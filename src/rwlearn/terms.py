@@ -506,18 +506,6 @@ class IOEquation:
         """Built once, so that its cached hash serves every coverage check."""
         return App(self.fn, self.lhs_args)
 
-    @cached_property
-    def arg_heads(self) -> frozenset:
-        """The symbols heading some subterm of the lhs arguments."""
-        heads = set()
-        stack = list(self.lhs_args)
-        while stack:
-            u = stack.pop()
-            if u.__class__ is App:
-                heads.add(u.head)
-                stack += u.args
-        return frozenset(heads)
-
     def render(self) -> str:
         return f"{render_term(self.lhs)}={render_term(self.rhs)}"
 

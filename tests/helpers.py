@@ -554,6 +554,23 @@ def scan_resolve_call(call: App, examples) -> tuple:
                             f"{', '.join(map(render_term, resolutions))}; taking the first")
 
 
+def renaming_resolve_call(call: App, examples, pool: dict) -> tuple:
+    """Reference for `learner._resolve_call` without its identity shortcut: every
+    example of the bucket is tried by `renaming_match`, each renamed rhs is interned
+    into pool, and the resolutions are compared by `==`."""
+    resolutions = []
+    for ex in examples:
+        sigma = renaming_match(ex.lhs, call)
+        if sigma is not None:
+            resolutions.append(intern(substitute(ex.rhs, sigma), pool))
+    if not resolutions:
+        return None, None
+    if all(r == resolutions[0] for r in resolutions):
+        return resolutions[0], None
+    return resolutions[0], (f"ambiguous lookup for {render_term(call)}: "
+                            f"{', '.join(map(render_term, resolutions))}; taking the first")
+
+
 def scan_derive_aux_examples(scheme, all_examples, subset):
     """Oracle for `learner.derive_aux_examples`: every call is tried against every example."""
     derived = []

@@ -10,7 +10,8 @@ swept here, traced.  A `--trace 1` run is correct only when every call
 site it must reach is hit, and reports only the per-layer metrics of the
 sites that exist; the swept workloads check both, seed_cli checks both in a
 traced run of its own, and the evaluator's sites are checked on one CLI run
-too.
+too.  `scripts/profile_workload.py`, which profiles sweeps built from
+`bench/workloads.py`, is run on one seed_cli sweep.
 """
 
 import contextlib
@@ -98,3 +99,13 @@ def test_cli_run_reaches_the_traced_rewrite_sites(monkeypatch):
         assert rw.cli.main([str(ROOT / "problems" / "add.tl"), "--no-trace"]) == 0
     for attr in ("match_pattern", "substitute", "evaluate_steps"):
         assert tracer.spans["rewrite", attr].calls > 0, attr
+
+
+def test_profile_script_profiles_one_seed_cli_sweep():
+    proc = _run(["scripts/profile_workload.py", "seed_cli", "--sweeps", "1"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("seed_cli, seed 1: 1 sweep(s) of 10 ops,")
+    assert lines[0].endswith("; 0 failed check(s)")
+    assert "Ordered by: internal time" in proc.stdout
+    assert "rwlearn" in proc.stdout  # its rows name the package's functions

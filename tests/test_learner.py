@@ -1,6 +1,7 @@
 """Unit tests for scheme construction, example derivation and the learner."""
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -23,6 +24,7 @@ from rwlearn.terms import (
     Signature,
     Var,
     blind_form,
+    fold,
     intern,
     match_pattern,
     render_term,
@@ -35,6 +37,7 @@ from golden.regen import HERE as GOLDEN
 from helpers import (
     blinded,
     built_apart,
+    canonical_rules,
     eq,
     equal_subterms_are_one_object,
     interned,
@@ -46,6 +49,7 @@ from helpers import (
     nat_env,
     random_term,
     renames_onto,
+    renaming_resolve_call,
     run_file,
     size_shape_examples,
     tree_env,
@@ -483,9 +487,9 @@ def coverage_checks():
     """(system, redexes its table held before the check) of each coverage check in learner."""
     checks = []
 
-    def recording(system, examples, step_limit, table=None):
+    def recording(system, examples, step_limit, table=None, normal_args=False):
         checks.append((system, list(table or ())))
-        return covers_all(system, examples, step_limit, table)
+        return covers_all(system, examples, step_limit, table, normal_args)
 
     with mock.patch.object(learner, "covers_all", recording):
         yield checks
@@ -561,8 +565,8 @@ def test_a_seeded_table_leaves_out_redexes_of_the_layers_above():
             table[stuck_call] = (stuck_call, 0, True)
         return rules, aux_sigs, uncovered, table
 
-    def fresh_table_covers_all(system, examples, step_limit, table=None):
-        return covers_all(system, examples, step_limit)
+    def fresh_table_covers_all(system, examples, step_limit, table=None, normal_args=False):
+        return covers_all(system, examples, step_limit, normal_args=normal_args)
 
     def outcome(report):
         return (report.system and [r.render() for r in report.system.rules],
@@ -694,3 +698,98 @@ def test_derived_equations_are_nodes_of_the_induce_pool(seed):
 def test_small_problem_draws_resolve_calls_to_renamed_right_hand_sides():
     # the property above is vacuous for renamed resolutions unless some draw makes one
     assert any(derived_sides(random_small_problem(random.Random(seed)))[1] for seed in range(20))
+
+
+def test_no_auxiliary_is_named_after_a_symbol_of_an_example():
+    """add's first auxiliary is f7, unless an example holds a symbol f7: then f7 is
+    reserved, and the rules are those learned beside any other new symbol, up to the
+    names of the auxiliary and of the variables."""
+    problem, golden = run_file("add.tl")
+
+    def learned(name):
+        examples = [*problem.examples, eq("add", (nat(0), App(name)), App(name))]
+        report = induce("add", examples, problem.sort_env, problem.signatures)
+        assert report.success, name
+        return report.system
+
+    clash, apart = learned("f7"), learned("f99")
+    assert [r.render() for r in apart.rules] == [r.render() for r in golden.system.rules]
+    assert "f7" not in {s.name for s in clash.signatures}
+    fixed = {"add", "0", "s"}
+    assert canonical_rules(clash.rules, fixed) == canonical_rules(apart.rules, fixed)
+
+
+def induce_outcome(target, examples, env, sigs, cfg=None) -> tuple:
+    """What an `induce` run shows: its rules, or its failure reason, underivable
+    members and uncovered examples; each attempt's uncovered examples; its
+    warnings; and its trace text."""
+    report = induce(target, examples, env, sigs, cfg)
+    failure = report.failure
+    return (report.success and [r.render() for r in report.system.rules],
+            failure and (failure.reason, [ex.render() for ex in failure.uncovered],
+                         [(u.aux_name, u.layer, u.member.render(), render_term(u.call))
+                          for u in failure.underivable]),
+            [(a.fn, a.position, [ex.render() for ex in a.uncovered]) for a in report.attempts],
+            report.warnings,
+            [(e.level, e.kind, e.text) for e in report.trace])
+
+
+def with_target_calls(rng, target, examples, env, sigs) -> tuple:
+    """The problem with up to two more examples, each an example whose lhs holds a
+    subterm equal to another example's rhs, replaced by that example's lhs: a call
+    of the target inside the arguments, which evaluates to what it replaced."""
+    extra = []
+    for ex in examples:
+        for other in examples:
+            for i, a in enumerate(ex.lhs_args):
+                for u in subterms(a):
+                    if u.__class__ is App and u == other.rhs:
+                        arg = fold(a, lambda v: v, lambda w, values:
+                                   other.lhs if w is u else App(w.head, tuple(values)))
+                        extra.append(eq(target, (*ex.lhs_args[:i], arg, *ex.lhs_args[i + 1:]),
+                                        ex.rhs))
+    return target, examples + rng.sample(extra, min(len(extra), rng.randint(1, 2))), env, sigs
+
+
+def test_the_pool_fast_paths_change_no_outcome():
+    """`induce` shows the same with its two pool shortcuts as without them: with every
+    call resolved by `renaming_match` and `==`, and every coverage check walking the
+    arguments of each equation.  Some draws hold calls of the target inside example
+    arguments, where the pool-wide decision must leave the arguments unvouched."""
+    problems = [(p.target, p.examples, p.sort_env, p.signatures, p.config)
+                for p in (load_problem(name, **cfg) for name, cfg in SEED_PROBLEMS)]
+    size = Signature("size", ("tree",), "nat")
+    for seed in range(200):
+        rng = random.Random(seed)
+        problem = (random_small_problem(rng) if seed % 20 else
+                   ("size", size_shape_examples(rng, rng.randint(25, 75)), tree_env(), [size]))
+        problems.append(with_target_calls(rng, *problem) if seed % 2 else problem)
+    flags = []
+    renamings = Counter()
+
+    def fast_covers_all(system, examples, step_limit, table=None, normal_args=False):
+        flags.append(normal_args)
+        return covers_all(system, examples, step_limit, table, normal_args)
+
+    def slow_covers_all(system, examples, step_limit, table=None, normal_args=False):
+        return covers_all(system, examples, step_limit, table)
+
+    def fast_renaming_match(*args):
+        renamings["fast"] += 1
+        return renaming_match(*args)
+
+    def slow_resolve_call(call, examples, pool):
+        renamings["slow"] += len(examples)
+        return renaming_resolve_call(call, examples, pool)
+
+    for problem in problems:
+        with mock.patch.object(learner, "covers_all", fast_covers_all), \
+                mock.patch.object(learner, "renaming_match", fast_renaming_match):
+            fast = induce_outcome(*problem)
+        with mock.patch.object(learner, "covers_all", slow_covers_all), \
+                mock.patch.object(learner, "_resolve_call", slow_resolve_call):
+            slow = induce_outcome(*problem)
+        assert fast == slow, problem
+    # neither shortcut is vacuous here, and the decision is not always yes
+    assert True in flags and False in flags
+    assert renamings["fast"] < renamings["slow"]

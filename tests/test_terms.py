@@ -7,7 +7,7 @@ from sys import getrecursionlimit
 import pytest
 from hypothesis import given, strategies as st
 
-from rwlearn.learner import _resolve_call
+from rwlearn.learner import InduceConfig, InduceReport, _Ctx, _resolve_call
 from rwlearn.terms import (
     App,
     ArityMismatch,
@@ -190,8 +190,21 @@ def test_repr_is_not_bounded_by_the_recursion_limit():
     assert same
 
 
-def lhs_heads_by_subterms(eq: IOEquation) -> frozenset:
-    return frozenset(u.head for a in eq.lhs_args for u in subterms(a) if isinstance(u, App))
+def heads_by_subterms(eq: IOEquation) -> frozenset:
+    return frozenset(u.head for t in (*eq.lhs_args, eq.rhs) for u in subterms(t)
+                     if isinstance(u, App))
+
+
+def pool_decision_agrees(eq: IOEquation, pool: dict, env) -> bool:
+    """Whether an `induce` run over pool, the example eq's pool, reserves every head of
+    eq and decides that the arguments are normal exactly when no head of eq is the
+    name of a signature: for the target f alone, and for f beside each head."""
+    heads = heads_by_subterms(eq)
+    for names in ({"f"}, *({"f", h} for h in heads)):
+        ctx = _Ctx(env, InduceConfig(), InduceReport("f"), pool, dict.fromkeys(names))
+        if not (heads <= ctx.fresh.reserved and ctx.normal_args == heads.isdisjoint(names)):
+            return False
+    return True
 
 
 @given(st.integers(0, 10**9))
@@ -200,8 +213,8 @@ def test_cached_example_facts_agree_with_subterm_walks(seed):
     env = list_env()
     pool = {"nat": ["x", "y"], "list": ["z"]}
     args = (random_term(env, "list", 4, rng, pool), random_term(env, "nat", 3, rng, pool))
-    [eq], _ = interned([IOEquation("f", args, random_term(env, "list", 3, rng, pool))])
-    assert eq.arg_heads == lhs_heads_by_subterms(eq)
+    [eq], pool = interned([IOEquation("f", args, random_term(env, "list", 3, rng, pool))])
+    assert pool_decision_agrees(eq, pool, env)
     assert (blind_form(eq.rhs) is eq.rhs) == is_ground(eq.rhs)
 
 
@@ -213,9 +226,9 @@ def test_cached_example_facts_are_not_bounded_by_the_recursion_limit():
     # a plain boolean, asserted outside the handler: pytest's report of a deep
     # RecursionError takes minutes
     try:
-        [eq], _ = interned([IOEquation("f", (t, App("0")), ground)])
-        same = (eq.arg_heads == lhs_heads_by_subterms(eq) == frozenset({"cons", "s", "0"})
-                and blind_form(eq.rhs) is eq.rhs)
+        [eq], pool = interned([IOEquation("f", (t, App("0")), ground)])
+        same = (heads_by_subterms(eq) == frozenset({"cons", "s", "0", "nil"})
+                and pool_decision_agrees(eq, pool, list_env()) and blind_form(eq.rhs) is eq.rhs)
     except RecursionError:
         same = False
     assert same
@@ -309,8 +322,8 @@ def test_renaming_match_inverts(seed):
 
 
 def test_cached_property_runs_once_per_instance_of_a_frozen_dataclass(monkeypatch):
-    descriptor = IOEquation.__dict__["arg_heads"]
-    assert IOEquation.arg_heads is descriptor and isinstance(descriptor, cached_property)
+    descriptor = IOEquation.__dict__["lhs"]
+    assert IOEquation.lhs is descriptor and isinstance(descriptor, cached_property)
     inner = descriptor.func
     calls = []
 
@@ -321,10 +334,10 @@ def test_cached_property_runs_once_per_instance_of_a_frozen_dataclass(monkeypatc
     monkeypatch.setattr(descriptor, "func", counted)
     a = IOEquation("f", (nat(1),), App("0"))
     b = IOEquation("f", (App("0"),), App("0"))
-    assert [a.arg_heads, b.arg_heads, a.arg_heads, b.arg_heads] == \
-           [{"s", "0"}, {"0"}, {"s", "0"}, {"0"}]
+    lhs = [a.lhs, b.lhs, a.lhs, b.lhs]
+    assert lhs == [App("f", (nat(1),)), App("f", (App("0"),))] * 2
+    assert lhs[0] is lhs[2] and lhs[1] is lhs[3]
     assert len(calls) == 2 and calls[0] is a and calls[1] is b
-    assert a.lhs is a.lhs == App("f", (nat(1),))
     with pytest.raises(AttributeError):
         a.fn = "g"  # still frozen
 
