@@ -13,7 +13,6 @@ constructor nor a declared function is a variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 from .learner import InduceConfig
@@ -22,6 +21,7 @@ from .terms import (
     ConstructorAlt,
     InvalidSortEnv,
     IOEquation,
+    Record,
     Signature,
     SortEnv,
     Term,
@@ -51,14 +51,19 @@ class ParseError(Exception):
         return cls(message + " (at end of input)", 0, 0)
 
 
-@dataclass
-class Problem:
-    sort_env: SortEnv
-    signatures: list
-    examples: list
-    target: str
-    var_sorts: dict = field(default_factory=dict)
-    config: InduceConfig = field(default_factory=InduceConfig)
+class Problem(Record):
+    """`var_sorts` left out is a new empty dict, and `config` a new default one."""
+
+    __slots__ = _fields = ("sort_env", "signatures", "examples", "target", "var_sorts", "config")
+
+    def __init__(self, sort_env: SortEnv, signatures: list, examples: list, target: str,
+                 var_sorts: dict | None = None, config: InduceConfig | None = None):
+        self.sort_env = sort_env
+        self.signatures = signatures
+        self.examples = examples
+        self.target = target
+        self.var_sorts = {} if var_sorts is None else var_sorts
+        self.config = InduceConfig() if config is None else config
 
     @property
     def target_signature(self) -> Signature:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from operator import is_
 
 from .antiunify import INF, generalize_examples
@@ -21,7 +20,9 @@ from .rewrite import RewriteSystem, Rule, covers_all
 from .terms import (
     App,
     ConstructorAlt,
+    Frozen,
     IOEquation,
+    Record,
     Signature,
     SortEnv,
     Term,
@@ -29,6 +30,7 @@ from .terms import (
     blind_form,
     cached_property,
     classify_args,
+    init_field,
     intern,
     match_pattern,
     render_term,
@@ -64,35 +66,39 @@ class FreshNames:
         return self._next("f")
 
 
-@dataclass
-class InduceConfig:
-    depth: float = INF
-    max_aux_functions: int = 50
-    max_recursion_depth: int = 10
-    step_limit: int = 10000
-    try_whole_set_lgg_first: bool = False
+class InduceConfig(Record):
+    __slots__ = _fields = ("depth", "max_aux_functions", "max_recursion_depth", "step_limit",
+                           "try_whole_set_lgg_first")
 
-    def __post_init__(self):
-        if self.depth != INF:
-            self.depth = int(self.depth)
-            if self.depth < 1:
+    def __init__(self, depth: float = INF, max_aux_functions: int = 50,
+                 max_recursion_depth: int = 10, step_limit: int = 10000,
+                 try_whole_set_lgg_first: bool = False):
+        if depth != INF:
+            depth = int(depth)
+            if depth < 1:
                 raise ValueError("depth must be >= 1 or INF")
-        for cap in (self.max_aux_functions, self.max_recursion_depth, self.step_limit):
+        for cap in (max_aux_functions, max_recursion_depth, step_limit):
             if cap <= 0:
                 raise ValueError("caps must be positive")
+        self.depth = depth
+        self.max_aux_functions = max_aux_functions
+        self.max_recursion_depth = max_recursion_depth
+        self.step_limit = step_limit
+        self.try_whole_set_lgg_first = try_whole_set_lgg_first
 
 
-@dataclass(frozen=True)
-class SchemeEquation:
+class SchemeEquation(Frozen):
     """f(x.., c(y..), x..) = g(other xs, non-recursive ys, recursive f-calls)."""
 
-    lhs: App
-    rhs: App
-    aux_sig: Signature
+    __slots__ = _fields = ("lhs", "rhs", "aux_sig")
+
+    def __init__(self, lhs: App, rhs: App, aux_sig: Signature):
+        init_field(self, "lhs", lhs)
+        init_field(self, "rhs", rhs)
+        init_field(self, "aux_sig", aux_sig)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Frozen):
     """One trace line, kept as `parts`: strings, terms, equations and tuples
     of equations.  `text` joins their renderings on first read, as most
     traces are never printed.
@@ -102,9 +108,13 @@ class TraceEvent:
     workload to reach `learner.render_term` until that site can be dropped
     (ROADMAP item 20)."""
 
-    level: int
-    kind: str
-    parts: tuple
+    __slots__ = ("level", "kind", "parts", "__dict__")  # `__dict__` holds `text`
+    _fields = __slots__[:3]
+
+    def __init__(self, level: int, kind: str, parts: tuple):
+        init_field(self, "level", level)
+        init_field(self, "kind", kind)
+        init_field(self, "parts", parts)
 
     @cached_property
     def text(self) -> str:
@@ -121,38 +131,52 @@ def _render_part(part) -> str:
     return render_term(part)
 
 
-@dataclass(frozen=True)
-class UnderivableExample:
-    aux_name: str
-    layer: int
-    member: IOEquation
-    call: Term
+class UnderivableExample(Frozen):
+    __slots__ = _fields = ("aux_name", "layer", "member", "call")
+
+    def __init__(self, aux_name: str, layer: int, member: IOEquation, call: Term):
+        init_field(self, "aux_name", aux_name)
+        init_field(self, "layer", layer)
+        init_field(self, "member", member)
+        init_field(self, "call", call)
 
 
-@dataclass
-class PositionAttempt:
-    fn: str
-    position: int
-    candidate: RewriteSystem
-    uncovered: list
+class PositionAttempt(Record):
+    __slots__ = _fields = ("fn", "position", "candidate", "uncovered")
+
+    def __init__(self, fn: str, position: int, candidate: RewriteSystem, uncovered: list):
+        self.fn = fn
+        self.position = position
+        self.candidate = candidate
+        self.uncovered = uncovered
 
 
-@dataclass
-class FailureInfo:
-    reason: str
-    underivable: list
-    uncovered: list
+class FailureInfo(Record):
+    __slots__ = _fields = ("reason", "underivable", "uncovered")
+
+    def __init__(self, reason: str, underivable: list, uncovered: list):
+        self.reason = reason
+        self.underivable = underivable
+        self.uncovered = uncovered
 
 
-@dataclass
-class InduceReport:
-    target: str
-    system: RewriteSystem | None = None
-    failure: FailureInfo | None = None
-    trace: list = field(default_factory=list)
-    derived_aux: list = field(default_factory=list)
-    attempts: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+class InduceReport(Record):
+    """The lists left out are new empty ones."""
+
+    __slots__ = _fields = ("target", "system", "failure", "trace", "derived_aux", "attempts",
+                           "warnings")
+
+    def __init__(self, target: str, system: RewriteSystem | None = None,
+                 failure: FailureInfo | None = None, trace: list | None = None,
+                 derived_aux: list | None = None, attempts: list | None = None,
+                 warnings: list | None = None):
+        self.target = target
+        self.system = system
+        self.failure = failure
+        self.trace = [] if trace is None else trace
+        self.derived_aux = [] if derived_aux is None else derived_aux
+        self.attempts = [] if attempts is None else attempts
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def success(self) -> bool:

@@ -7,11 +7,10 @@ matching rule, so it is a deterministic function of (system, term, limit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_not
 
-from .terms import (App, IOEquation, Term, Var, cached_property, fold, match_pattern,
-                    render_term, same_term, substitute, subterms)
+from .terms import (App, Frozen, IOEquation, Term, Var, cached_property, fold, init_field,
+                    match_pattern, render_term, same_term, substitute, subterms)
 
 
 class EvalError(Exception):
@@ -39,10 +38,13 @@ class RuleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Rule:
-    lhs: App
-    rhs: Term
+class Rule(Frozen):
+    __slots__ = ("lhs", "rhs", "__dict__")  # `__dict__` holds the cached properties
+    _fields = __slots__[:2]
+
+    def __init__(self, lhs: App, rhs: Term):
+        init_field(self, "lhs", lhs)
+        init_field(self, "rhs", rhs)
 
     def render(self) -> str:
         return f"{render_term(self.lhs)}={render_term(self.rhs)}"
@@ -333,14 +335,13 @@ def evaluate_steps(sys: RewriteSystem, t: Term, step_limit: int = 10000, table=N
 
 
 def _normal_args(t: App, defined) -> bool:
-    """Whether no argument of t holds a symbol in defined, by one scan without recursion."""
+    """Whether no argument of t holds a symbol in defined, by one scan without
+    recursion; a variable's head is None and its arguments are none."""
     scan = list(t.args)
-    while scan:
-        a = scan.pop()
-        if a.__class__ is App:
-            if a.head in defined:
-                return False
-            scan += a.args
+    for a in scan:
+        if a.head in defined:
+            return False
+        scan += a.args
     return True
 
 

@@ -8,15 +8,16 @@ pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_
+
+init_field = object.__setattr__  # how a `Frozen` record's `__init__` sets its fields
 
 
 class cached_property:
     """A method run on an instance's first read, its value stored in the
-    instance's `__dict__`, which later reads find before the class; frozen
-    dataclasses too.  3.12's `functools.cached_property`: 3.10 and 3.11 take
-    a lock on each first read, and rwlearn is single-threaded."""
+    instance's `__dict__`, which later reads find before the class, even on
+    a `Frozen` record.  3.12's `functools.cached_property`: 3.10 and 3.11
+    take a lock on each first read, and rwlearn is single-threaded."""
 
     def __init__(self, func):
         self.func = func
@@ -30,6 +31,50 @@ class cached_property:
             return self
         value = instance.__dict__[self.name] = self.func(instance)
         return value
+
+
+class Record:
+    """A class of plain records, its fields named by `_fields` in `__init__`'s
+    order.  `==` holds between instances of one class with equal fields, and
+    the repr is `Name(field=value, ...)`.  A record is mutable, so it has no
+    hash; `Frozen` records have.  Classes are written out by hand, not
+    generated, so that importing rwlearn runs no generated code."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        """Copies and pickles are built by `__init__`: a `Frozen` record
+        refuses the attribute stores that would restore its fields."""
+        return self.__class__, self._values()
+
+
+class Frozen(Record):
+    """A record whose fields are set once, by `__init__` through `init_field`:
+    it refuses assignment, and hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class TermError(Exception):
@@ -64,15 +109,28 @@ class InvalidSortEnv(TermError):
         self.sort = sort  # the sort in whose declaration the defect is found
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    # not a field: a variable has no head, so that code reading any term's
-    # head, like the compiled tier's index read, needs no class test first
+class Var(Frozen):
+    """A variable, its name its only field.  `==` and `hash` are written out,
+    as terms hash their variables often."""
+
+    __slots__ = _fields = ("name",)
+    # not fields: a variable has no head and no arguments, so code reading
+    # a term's, like the compiled tier's index read or `rewrite._normal_args`,
+    # needs no class test first
     head = None
+    args = ()
+
+    def __init__(self, name: str):
+        init_field(self, "name", name)
 
     def __repr__(self):
         return f"Var({self.name!r})"
+
+    def __eq__(self, other):
+        return self.name == other.name if other.__class__ is Var else NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
 class App:
@@ -409,10 +467,12 @@ def render_term(t: Term) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class ConstructorAlt:
-    name: str
-    arg_sorts: tuple = ()
+class ConstructorAlt(Frozen):
+    __slots__ = _fields = ("name", "arg_sorts")
+
+    def __init__(self, name: str, arg_sorts: tuple = ()):
+        init_field(self, "name", name)
+        init_field(self, "arg_sorts", arg_sorts)
 
     @property
     def arity(self) -> int:
@@ -424,11 +484,13 @@ class ConstructorAlt:
         return f"{self.name}({','.join(self.arg_sorts)})"
 
 
-@dataclass(frozen=True)
-class Signature:
-    name: str
-    domain: tuple
-    range: str
+class Signature(Frozen):
+    __slots__ = _fields = ("name", "domain", "range")
+
+    def __init__(self, name: str, domain: tuple, range: str):
+        init_field(self, "name", name)
+        init_field(self, "domain", domain)
+        init_field(self, "range", range)
 
     @property
     def arity(self) -> int:
@@ -495,11 +557,14 @@ def classify_args(sort: str, alt: ConstructorAlt) -> tuple:
     return rec, nonrec
 
 
-@dataclass(frozen=True)
-class IOEquation:
-    fn: str
-    lhs_args: tuple
-    rhs: Term
+class IOEquation(Frozen):
+    __slots__ = ("fn", "lhs_args", "rhs", "__dict__")  # `__dict__` holds `lhs`
+    _fields = __slots__[:3]
+
+    def __init__(self, fn: str, lhs_args: tuple, rhs: Term):
+        init_field(self, "fn", fn)
+        init_field(self, "lhs_args", lhs_args)
+        init_field(self, "rhs", rhs)
 
     @cached_property
     def lhs(self) -> App:

@@ -11,7 +11,7 @@ site it must reach is hit, and reports only the per-layer metrics of the
 sites that exist; the swept workloads check both, seed_cli checks both in a
 traced run of its own, and the evaluator's sites are checked on one CLI run
 too.  `scripts/profile_workload.py`, which profiles sweeps built from
-`bench/workloads.py`, is run on one seed_cli sweep.
+`bench/workloads.py`, is run on one seed_cli sweep and on one set-up.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -109,3 +110,14 @@ def test_profile_script_profiles_one_seed_cli_sweep():
     assert lines[0].endswith("; 0 failed check(s)")
     assert "Ordered by: internal time" in proc.stdout
     assert "rwlearn" in proc.stdout  # its rows name the package's functions
+
+
+def test_profile_script_profiles_one_seed_cli_set_up():
+    proc = _run(["scripts/profile_workload.py", "seed_cli", "--setup", "--sweeps", "1"])
+    assert proc.returncode == 0, proc.stderr
+    first = proc.stdout.splitlines()[0]
+    match = re.fullmatch(r"seed_cli, seed 1: 1 set-up\(s\), median import (\S+) ms, build \S+ ms,"
+                         r" warm-up \S+ ms, \S+ s profiled", first)
+    assert match and float(match[1]) > 0, first
+    assert "Ordered by: internal time" in proc.stdout
+    assert "rwlearn" in proc.stdout
